@@ -31,6 +31,7 @@ from .errors import (
     InfeasiblePoint,
     InfeasibleTree,
     InstanceTooLarge,
+    InternalInvariant,
     InvalidPartition,
     NegativeSelfLoop,
     NoBackwardEdge,
@@ -59,10 +60,12 @@ from .model import (
     Rational,
     SpanningTree,
     TightEdgeSet,
+    VertexSet,
     cost_vector,
     count_spanning_trees,
     degeneracy_report,
     enumerate_spanning_trees,
+    enumerate_vertices,
     feasibility_status,
     is_feasible,
     is_vertex,
@@ -80,12 +83,10 @@ from .oracle import (
     CircuitNeighbor,
     DistanceResult,
     DiameterResult,
-    VertexSet,
     are_adjacent,
     circuit_distance,
     combinatorial_distance,
     diameter,
-    enumerate_vertices,
     first_circuit_neighbors,
 )
 from .walks import (

@@ -26,6 +26,7 @@ from .model import (
     Point,
     connected_in_underlying,
     is_feasible,
+    shift_point,
     slack,
 )
 
@@ -134,15 +135,27 @@ def max_step(
         raise ValidationError("not a circuit of this graph")
     if not is_feasible(graph, costs, point):
         raise InfeasiblePoint("max_step requires a feasible start")
-    blocking = _blocking_edges(graph, circuit, sign)
-    if not blocking:
+    return _max_step(graph, costs, point, circuit, sign)
+
+
+def _max_step(
+    graph: Digraph,
+    costs: Sequence[Fraction],
+    point: Point,
+    circuit: PartitionCircuit,
+    sign: int,
+) -> SignedStep:
+    """:func:`max_step` for callers that already hold a valid circuit, a
+    sign of +1 or -1 and a feasible point of this instance."""
+    slacks = {
+        i: slack(graph, costs, point, i) for i in _blocking_edges(graph, circuit, sign)
+    }
+    if not slacks:
         raise UnboundedDirection("no edge bounds this direction")
-    epsilon = min(slack(graph, costs, point, i) for i in blocking)
+    epsilon = min(slacks.values())
     if epsilon == 0:
         raise NotApplicable("a blocking edge is already tight")
-    entering = frozenset(
-        i for i in blocking if slack(graph, costs, point, i) == epsilon
-    )
+    entering = frozenset(i for i, s in slacks.items() if s == epsilon)
     return SignedStep(circuit, sign, epsilon, entering)
 
 
@@ -156,12 +169,7 @@ def apply_circuit_step(
         raise StaleStep(f"step cannot arise here: {exc}") from exc
     if fresh.epsilon != step.epsilon or fresh.entering_edges != step.entering_edges:
         raise StaleStep("step length or entering edges disagree with this point")
-    delta = step.epsilon if step.sign > 0 else -step.epsilon
-    coords = tuple(
-        c + delta if v in step.circuit.s_set else c
-        for v, c in enumerate(point.coords)
-    )
-    return Point(coords)
+    return shift_point(point, step.circuit.s_set, step.sign * step.epsilon)
 
 
 def step_between(
@@ -188,8 +196,10 @@ def step_between(
     s_set = frozenset(moved)
     if not is_valid_circuit(graph, s_set):
         raise ValidationError("moved nodes do not form a circuit")
+    if not is_feasible(graph, costs, source):
+        raise InfeasiblePoint("max_step requires a feasible start")
     sign = 1 if delta > 0 else -1
-    step = max_step(graph, costs, source, PartitionCircuit(s_set), sign)
+    step = _max_step(graph, costs, source, PartitionCircuit(s_set), sign)
     if step.epsilon != abs(delta):
         raise ValidationError(
             f"step is not maximal: moved {abs(delta)}, maximal {step.epsilon}"

@@ -15,7 +15,7 @@ import sys
 from typing import IO, Sequence
 
 from . import oracle, walks
-from .errors import DualflowError, EdgeMissing, InfeasibleInstance, NotApplicable
+from .errors import DualflowError, InfeasibleInstance, NotApplicable
 from .circuits import PartitionCircuit, max_step
 from .instances import (
     complete_bipartite,
@@ -68,15 +68,7 @@ def _parse_tree_tokens(graph: Digraph, text: str) -> frozenset[int]:
         match = _TREE_TOKEN.match(token)
         if not match:
             raise DualflowError(f"bad tree token {token!r} (expected vAvB)")
-        tail, head = int(match.group(1)), int(match.group(2))
-        found = None
-        for i, edge in enumerate(graph.edges):
-            if edge == (tail, head):
-                found = i
-                break
-        if found is None:
-            raise EdgeMissing(f"no edge v{tail}->v{head}")
-        indices.add(found)
+        indices.add(walks.find_edge(graph, int(match.group(1)), int(match.group(2))))
     return frozenset(indices)
 
 
@@ -94,7 +86,6 @@ def _resolve_point(
 ) -> Point:
     if tree_arg is not None:
         return vertex_from_tree(graph, costs, _parse_tree_tokens(graph, tree_arg))
-    assert point_arg is not None
     return Point(tuple(rational(tok) for tok in point_arg.split(",")))
 
 
@@ -458,8 +449,17 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
     }
     try:
         payload = _HANDLERS[command](args, out)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"dualflow: missing file: {exc.filename}\n")
+    except OSError as exc:
+        if isinstance(exc, FileNotFoundError):
+            code, message = "missing-file", f"missing file: {exc.filename}"
+        else:
+            code = "unreadable-file"
+            message = f"cannot open file: {exc.filename} ({exc.strerror})"
+        sys.stderr.write(f"dualflow: {message}\n")
+        if args.json:
+            report["status"] = "error"
+            report["error"] = {"code": code, "message": message}
+            _emit(report, args, out)
         return 2
     except DualflowError as exc:
         report["status"] = "error"

@@ -136,6 +136,12 @@ class DegenerateInstance(DualflowError):
     code = "degenerate-instance"
 
 
+class InternalInvariant(DualflowError):
+    """A guarantee the builders or oracles rely on failed to hold (a bug)."""
+
+    code = "internal-invariant"
+
+
 class InvalidPartition(DualflowError):
     """The constructed node split is not a valid circuit of this graph."""
 

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -19,6 +19,7 @@ from .errors import (
     InfeasiblePoint,
     InfeasibleTree,
     InstanceTooLarge,
+    NotAVertex,
     ValidationError,
 )
 
@@ -86,7 +87,7 @@ class Digraph:
             if (tail, head) in seen:
                 raise ValidationError(f"duplicate edge ({tail},{head})")
             seen.add((tail, head))
-        if not _covers_all(self.node_count, self.edges, range(self.node_count)):
+        if component_count(self.node_count, self.edges) != 1:
             raise ValidationError("underlying undirected graph is disconnected")
 
     @property
@@ -94,30 +95,28 @@ class Digraph:
         return len(self.edges)
 
 
-def _covers_all(
-    node_count: int,
-    edges: Iterable[tuple[int, int]],
-    nodes: Iterable[int],
-) -> bool:
-    """True iff ``nodes`` is nonempty and connected via the given undirected edges."""
-    nodes = set(nodes)
-    if not nodes:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for tail, head in edges:
-        if tail in nodes and head in nodes:
-            adj[tail].append(head)
-            adj[head].append(tail)
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
+def bfs_parents(
+    root: int, neighbors: Callable[[int], Iterable[int]]
+) -> dict[int, int | None]:
+    """Breadth-first search from ``root``: maps every reached node to the node
+    it was first reached from (``None`` for the root), in visiting order."""
+    parents: dict[int, int | None] = {root: None}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
+        for w in neighbors(v):
+            if w not in parents:
+                parents[w] = v
                 queue.append(w)
-    return seen == nodes
+    return parents
+
+
+def _find(parent: list[int], v: int) -> int:
+    """Union-find root of ``v``, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 @lru_cache(maxsize=256)
@@ -130,21 +129,13 @@ def underlying_adjacency(graph: Digraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(a)) for a in adj)
 
 
-def component_count(graph: Digraph, edge_indices: Iterable[int]) -> int:
-    """Number of connected components of the subgraph on all nodes with the
-    given undirected edges; isolated nodes count."""
-    parent = list(range(graph.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = graph.node_count
-    for i in edge_indices:
-        tail, head = graph.edges[i]
-        root_t, root_h = find(tail), find(head)
+def component_count(node_count: int, pairs: Iterable[tuple[int, int]]) -> int:
+    """Number of connected components on nodes ``0..node_count-1`` joined by
+    the given undirected node pairs; isolated nodes count."""
+    parent = list(range(node_count))
+    count = node_count
+    for tail, head in pairs:
+        root_t, root_h = _find(parent, tail), _find(parent, head)
         if root_t != root_h:
             parent[root_t] = root_h
             count -= 1
@@ -157,16 +148,23 @@ def connected_in_underlying(graph: Digraph, nodes: Iterable[int]) -> bool:
     if not nodes:
         return False
     adj = underlying_adjacency(graph)
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in nodes and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == nodes
+    inside = bfs_parents(next(iter(nodes)), lambda v: [w for w in adj[v] if w in nodes])
+    return len(inside) == len(nodes)
+
+
+def tree_adjacency(
+    graph: Digraph, tree: Iterable[int]
+) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+    """Undirected neighbor lists of a forest's edges, plus the edge index
+    joining each ordered pair of neighbors."""
+    adj: list[list[int]] = [[] for _ in range(graph.node_count)]
+    edge_of: dict[tuple[int, int], int] = {}
+    for i in tree:
+        tail, head = graph.edges[i]
+        adj[tail].append(head)
+        adj[head].append(tail)
+        edge_of[tail, head] = edge_of[head, tail] = i
+    return adj, edge_of
 
 
 CostVector = tuple[Fraction, ...]
@@ -207,6 +205,13 @@ class Point:
 
     def __iter__(self):
         return iter(self.coords)
+
+
+def shift_point(point: Point, s_set: frozenset[int], delta: Fraction) -> Point:
+    """The point after every coordinate in ``s_set`` moves by ``delta``."""
+    return Point(
+        tuple(c + delta if v in s_set else c for v, c in enumerate(point.coords))
+    )
 
 
 SpanningTree = frozenset[int]
@@ -267,8 +272,13 @@ def serialize_graph(graph: Digraph, costs: Sequence[Fraction]) -> str:
 
 
 def load_graph(path: str) -> tuple[Digraph, CostVector]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    """Read a graph file; bytes that are not UTF-8 raise :class:`FormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_graph(text)
 
 
 def save_graph(path: str, graph: Digraph, costs: Sequence[Fraction]) -> None:
@@ -363,9 +373,7 @@ def check_spanning_tree(graph: Digraph, tree: Iterable[int]) -> SpanningTree:
         raise ValidationError(
             f"tree has {len(tree)} edges, expected {graph.node_count - 1}"
         )
-    if graph.node_count > 1 and not _covers_all(
-        graph.node_count, [graph.edges[i] for i in tree], range(graph.node_count)
-    ):
+    if component_count(graph.node_count, [graph.edges[i] for i in tree]) != 1:
         raise ValidationError("edge set does not span the graph")
     return tree
 
@@ -380,27 +388,17 @@ def vertex_from_tree(
     """
     check_costs(graph, costs)
     tree = check_spanning_tree(graph, tree)
-    coords: list[Fraction | None] = [None] * graph.node_count
-    coords[ANCHOR] = Fraction(0)
-    incident: dict[int, list[int]] = {v: [] for v in range(graph.node_count)}
-    for i in tree:
-        tail, head = graph.edges[i]
-        incident[tail].append(i)
-        incident[head].append(i)
-    queue = deque([ANCHOR])
-    while queue:
-        v = queue.popleft()
-        for i in incident[v]:
-            tail, head = graph.edges[i]
-            other = head if tail == v else tail
-            if coords[other] is None:
-                # tight edge: u_head - u_tail = cost
-                if tail == v:
-                    coords[other] = coords[v] + costs[i]
-                else:
-                    coords[other] = coords[v] - costs[i]
-                queue.append(other)
-    point = Point(tuple(coords))  # type: ignore[arg-type]
+    adj, edge_of = tree_adjacency(graph, tree)
+    coords = [Fraction(0)] * graph.node_count
+    for v, parent in bfs_parents(ANCHOR, adj.__getitem__).items():
+        if parent is not None:
+            # tight edge: u_head - u_tail = cost
+            i = edge_of[parent, v]
+            if graph.edges[i] == (parent, v):
+                coords[v] = coords[parent] + costs[i]
+            else:
+                coords[v] = coords[parent] - costs[i]
+    point = Point(tuple(coords))
     if not is_feasible(graph, costs, point):
         raise InfeasibleTree(
             f"tree point {tuple(map(rational_str, point))} violates an inequality"
@@ -411,11 +409,7 @@ def vertex_from_tree(
 def is_vertex(graph: Digraph, costs: Sequence[Fraction], point: Point) -> bool:
     """True iff the tight graph touches every node and is connected."""
     tight = tight_graph(graph, costs, point)  # validates feasibility
-    if graph.node_count == 1:
-        return True
-    return _covers_all(
-        graph.node_count, [graph.edges[i] for i in tight], range(graph.node_count)
-    )
+    return component_count(graph.node_count, [graph.edges[i] for i in tight]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +497,6 @@ def enumerate_spanning_trees(
     yield from rec(0, [], list(range(n)))
 
 
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def _spannable(graph: Digraph, parent: list[int], start: int) -> bool:
     """Can the components in ``parent`` still be joined by edges >= start?"""
     probe = parent[:]
@@ -526,7 +513,47 @@ def _spannable(graph: Digraph, parent: list[int], start: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# degeneracy
+# vertices and degeneracy
+
+
+@dataclass(frozen=True)
+class VertexSet:
+    """All vertices plus, per vertex, every spanning tree that maps to it."""
+
+    vertices: tuple[Point, ...]
+    tree_witnesses: tuple[tuple[frozenset[int], ...], ...]
+
+    def index_of(self, point: Point) -> int:
+        try:
+            return self.vertices.index(point)
+        except ValueError:
+            raise NotAVertex(f"{point} is not an enumerated vertex") from None
+
+
+def enumerate_vertices(
+    graph: Digraph, costs: Sequence[Fraction], tree_cap: int = DEFAULT_TREE_CAP
+) -> VertexSet:
+    """Every vertex, found by solving each spanning tree and keeping the
+    feasible results; vertices are sorted by coordinates.  Results are
+    cached per instance and cap."""
+    check_costs(graph, costs)
+    return _vertex_set(graph, tuple(costs), tree_cap)
+
+
+@lru_cache(maxsize=64)
+def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
+    buckets: dict[tuple[Fraction, ...], list[frozenset[int]]] = {}
+    for tree in enumerate_spanning_trees(graph, cap=tree_cap):
+        try:
+            vertex = vertex_from_tree(graph, costs, tree)
+        except InfeasibleTree:
+            continue
+        buckets.setdefault(vertex.coords, []).append(tree)
+    ordered = sorted(buckets)
+    return VertexSet(
+        tuple(Point(coords) for coords in ordered),
+        tuple(tuple(buckets[coords]) for coords in ordered),
+    )
 
 
 @dataclass(frozen=True)
@@ -540,22 +567,14 @@ def degeneracy_report(
 ) -> DegeneracyReport:
     """Check whether every vertex has exactly ``node_count - 1`` tight edges.
 
-    Witnesses are the vertices whose tight graphs contain an undirected
-    cycle, i.e. carry extra tight inequalities.
+    Witnesses are the vertices with more than one tree witness: a vertex's
+    tight graph spans all nodes, so it has more than ``node_count - 1``
+    edges exactly when it holds a cycle and hence several spanning trees.
     """
-    check_costs(graph, costs)
-    witnesses: list[Point] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for tree in enumerate_spanning_trees(graph, cap=tree_cap):
-        try:
-            vertex = vertex_from_tree(graph, costs, tree)
-        except InfeasibleTree:
-            continue
-        if vertex.coords in seen:
-            continue
-        seen.add(vertex.coords)
-        tight = tight_graph(graph, costs, vertex)
-        if len(tight) > graph.node_count - 1:
-            witnesses.append(vertex)
-    witnesses.sort(key=lambda p: p.coords)
-    return DegeneracyReport(not witnesses, tuple(witnesses))
+    vertex_set = enumerate_vertices(graph, costs, tree_cap)
+    witnesses = tuple(
+        vertex
+        for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses)
+        if len(trees) > 1
+    )
+    return DegeneracyReport(not witnesses, witnesses)

@@ -10,7 +10,6 @@ cheap without leaving exact arithmetic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,14 +18,15 @@ from typing import Sequence
 from .circuits import (
     PartitionCircuit,
     SignedStep,
+    _max_step,
     enumerate_partitions,
-    max_step,
 )
 from .errors import (
     DepthCapExceeded,
     FrontierTooLarge,
     IdenticalPoints,
-    InfeasibleTree,
+    InfeasiblePoint,
+    InternalInvariant,
     NotApplicable,
     NotAVertex,
     UnboundedDirection,
@@ -36,30 +36,18 @@ from .model import (
     DEFAULT_TREE_CAP,
     Digraph,
     Point,
-    check_costs,
+    VertexSet,
+    bfs_parents,
     component_count,
-    enumerate_spanning_trees,
+    enumerate_vertices,
+    is_feasible,
     is_vertex,
+    shift_point,
     tight_graph,
-    vertex_from_tree,
 )
 from .walks import Walk, walk_from_points
 
 DEFAULT_STATE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """All vertices plus, per vertex, every spanning tree that maps to it."""
-
-    vertices: tuple[Point, ...]
-    tree_witnesses: tuple[tuple[frozenset[int], ...], ...]
-
-    def index_of(self, point: Point) -> int:
-        try:
-            return self.vertices.index(point)
-        except ValueError:
-            raise NotAVertex(f"{point} is not an enumerated vertex") from None
 
 
 @dataclass(frozen=True)
@@ -74,26 +62,6 @@ class DiameterResult:
     pair: tuple[Point, Point] | None
 
 
-def enumerate_vertices(
-    graph: Digraph, costs: CostVector, tree_cap: int = DEFAULT_TREE_CAP
-) -> VertexSet:
-    """Every vertex, found by solving each spanning tree and keeping the
-    feasible results; vertices are sorted by coordinates."""
-    check_costs(graph, costs)
-    buckets: dict[tuple[Fraction, ...], list[frozenset[int]]] = {}
-    for tree in enumerate_spanning_trees(graph, cap=tree_cap):
-        try:
-            vertex = vertex_from_tree(graph, costs, tree)
-        except InfeasibleTree:
-            continue
-        buckets.setdefault(vertex.coords, []).append(tree)
-    ordered = sorted(buckets)
-    return VertexSet(
-        tuple(Point(coords) for coords in ordered),
-        tuple(tuple(buckets[coords]) for coords in ordered),
-    )
-
-
 def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
     """Vertices are adjacent iff their common tight edges split the nodes
     into exactly two connected components (isolated nodes count)."""
@@ -103,7 +71,7 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
         if not is_vertex(graph, costs, point):
             raise NotAVertex(f"{tuple(point)} is not a vertex")
     common = tight_graph(graph, costs, u) & tight_graph(graph, costs, v)
-    return component_count(graph, common) == 2
+    return component_count(graph.node_count, [graph.edges[i] for i in common]) == 2
 
 
 @dataclass(frozen=True)
@@ -119,21 +87,17 @@ def first_circuit_neighbors(
 ) -> tuple[CircuitNeighbor, ...]:
     """All destinations of maximal circuit steps from the point, deduplicated
     by destination; inapplicable and unbounded directions are dropped."""
+    if not is_feasible(graph, costs, point):
+        raise InfeasiblePoint("max_step requires a feasible start")
     groups: dict[Point, list[SignedStep]] = {}
     order: list[Point] = []
     for circuit in enumerate_partitions(graph):
         for sign in (1, -1):
             try:
-                step = max_step(graph, costs, point, circuit, sign)
+                step = _max_step(graph, costs, point, circuit, sign)
             except (NotApplicable, UnboundedDirection):
                 continue
-            delta = step.epsilon if sign > 0 else -step.epsilon
-            destination = Point(
-                tuple(
-                    c + delta if v in circuit.s_set else c
-                    for v, c in enumerate(point.coords)
-                )
-            )
+            destination = shift_point(point, circuit.s_set, sign * step.epsilon)
             if destination not in groups:
                 groups[destination] = []
                 order.append(destination)
@@ -180,8 +144,8 @@ class _ScaledInstance:
     def to_state(self, point: Point) -> tuple[int, ...]:
         state = tuple(int(c * self.scale) for c in point.coords)
         if any(Fraction(s, self.scale) != c for s, c in zip(state, point.coords)):
-            # a foreign point; only multiples of 1/scale are reachable anyway
-            raise ValueError("point is not on the instance's rational grid")
+            # vertices are sums of costs, so every reachable point is on the grid
+            raise InternalInvariant("point is not on the instance's rational grid")
         return state
 
     def to_point(self, state: tuple[int, ...]) -> Point:
@@ -249,7 +213,8 @@ def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
     tights = [tight_graph(graph, costs, v) for v in vertices]
     for i in range(n):
         for j in range(i + 1, n):
-            if component_count(graph, tights[i] & tights[j]) == 2:
+            common = [graph.edges[e] for e in tights[i] & tights[j]]
+            if component_count(graph.node_count, common) == 2:
                 adjacency[i].append(j)
                 adjacency[j].append(i)
     return _Skeleton(vertex_set, tuple(tuple(a) for a in adjacency))
@@ -268,17 +233,7 @@ def combinatorial_distance(
     dst = skeleton.vertex_set.index_of(target)
     if src == dst:
         return DistanceResult(0, walk_from_points(graph, costs, [source], "edge"))
-    parents = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in skeleton.adjacency[v]:
-            if w not in parents:
-                parents[w] = v
-                if w == dst:
-                    queue.clear()
-                    break
-                queue.append(w)
+    parents = bfs_parents(src, skeleton.adjacency.__getitem__)
     if dst not in parents:
         raise NotAVertex("target unreachable on the skeleton")
     chain = [dst]
@@ -392,14 +347,9 @@ def diameter(
         best = 0
         pair = None
         for src in range(len(vertices)):
-            depths = {src: 0}
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                for w in skeleton.adjacency[v]:
-                    if w not in depths:
-                        depths[w] = depths[v] + 1
-                        queue.append(w)
+            depths: dict[int, int] = {}
+            for w, parent in bfs_parents(src, skeleton.adjacency.__getitem__).items():
+                depths[w] = 0 if parent is None else depths[parent] + 1
             if len(depths) < len(vertices):
                 raise NotAVertex("skeleton is disconnected")
             far = max(depths, key=lambda w: (depths[w], w))
@@ -407,8 +357,7 @@ def diameter(
                 best = depths[far]
                 pair = (vertices[src], vertices[far])
         return DiameterResult(best, pair)
-    vertex_set = enumerate_vertices(graph, costs, tree_cap=tree_cap)
-    vertices = vertex_set.vertices
+    vertices = enumerate_vertices(graph, costs, tree_cap=tree_cap).vertices
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
     best = 0

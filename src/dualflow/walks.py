@@ -10,7 +10,6 @@ stitched back to the original coordinates.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,6 +17,7 @@ from typing import Sequence
 from .circuits import (
     PartitionCircuit,
     SignedStep,
+    _max_step,
     is_valid_circuit,
     max_step,
     step_between,
@@ -29,6 +29,7 @@ from .errors import (
     FaceEmpty,
     InfeasibleLift,
     InfeasiblePoint,
+    InternalInvariant,
     InvalidPartition,
     NegativeSelfLoop,
     NoBackwardEdge,
@@ -43,14 +44,18 @@ from .model import (
     CostVector,
     Digraph,
     Point,
+    _find,
+    bfs_parents,
     check_spanning_tree,
     component_count,
     connected_in_underlying,
     feasibility_status,
     is_feasible,
     is_vertex,
+    shift_point,
     slack,
     tight_graph,
+    tree_adjacency,
     underlying_adjacency,
 )
 
@@ -119,6 +124,17 @@ def contract_edge(
     """
     if not (0 <= edge_index < graph.edge_count):
         raise EdgeMissing(f"edge index {edge_index} out of range")
+    contracted, contracted_costs, record = _contract(graph, costs, edge_index)
+    if not feasibility_status(contracted, contracted_costs).feasible:
+        raise FaceEmpty(f"no feasible point makes edge {edge_index} tight")
+    return contracted, contracted_costs, record
+
+
+def _contract(
+    graph: Digraph, costs: CostVector, edge_index: int
+) -> tuple[Digraph, CostVector, ContractionRecord]:
+    """:func:`contract_edge` without the emptiness test, for callers that
+    hold a feasible point at which the edge is tight."""
     kept, removed = graph.edges[edge_index]
     edge_cost = costs[edge_index]
     if removed == ANCHOR:
@@ -169,8 +185,6 @@ def contract_edge(
             new_costs.append(adjusted)
     contracted = Digraph(graph.node_count - 1, tuple(new_edges))
     contracted_costs = tuple(new_costs)
-    if not feasibility_status(contracted, contracted_costs).feasible:
-        raise FaceEmpty(f"no feasible point makes edge {edge_index} tight")
     record = ContractionRecord(
         original_graph=graph,
         original_costs=costs,
@@ -244,79 +258,24 @@ def last_backward_edge(
     if start == goal:
         raise ValidationError("start and goal coincide")
     tree = check_spanning_tree(graph, tree)
-    incident: dict[int, list[int]] = {v: [] for v in range(graph.node_count)}
-    for i in tree:
-        tail, head = graph.edges[i]
-        incident[tail].append(i)
-        incident[head].append(i)
-    parent_edge: dict[int, int] = {}
-    parent_node: dict[int, int] = {start: start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for i in incident[v]:
-            tail, head = graph.edges[i]
-            other = head if tail == v else tail
-            if other not in parent_node:
-                parent_node[other] = v
-                parent_edge[other] = i
-                queue.append(other)
-    path_edges: list[tuple[int, int, int]] = []  # (edge, nearer start, nearer goal)
+    adj, edge_of = tree_adjacency(graph, tree)
+    parents = bfs_parents(start, adj.__getitem__)
+    # walking back from the goal, the first edge whose tail lies nearer the
+    # goal is the last one on the path pointing away from it
     node = goal
     while node != start:
-        prev = parent_node[node]
-        path_edges.append((parent_edge[node], prev, node))
+        prev = parents[node]
+        chosen = edge_of[prev, node]
+        if graph.edges[chosen][0] == node:
+            break
         node = prev
-    path_edges.reverse()
-    chosen = None
-    for edge_i, near_start, near_goal in path_edges:
-        if graph.edges[edge_i][0] == near_goal:
-            # tail sits on the goal side: the edge points away from the goal
-            chosen = edge_i
-    if chosen is None:
+    else:
         raise NoBackwardEdge("the whole tree path is directed toward the goal")
-    remaining = tree - {chosen}
-    side_of_start = _tree_component(graph, remaining, start)
+    side_of_start = frozenset(
+        bfs_parents(start, lambda v: [w for w in adj[v] if edge_of[v, w] != chosen])
+    )
     side_of_goal = frozenset(range(graph.node_count)) - side_of_start
     return chosen, side_of_start, side_of_goal
-
-
-def _tree_component(
-    graph: Digraph, edge_indices: frozenset[int], root: int
-) -> frozenset[int]:
-    incident: dict[int, list[int]] = {v: [] for v in range(graph.node_count)}
-    for i in edge_indices:
-        tail, head = graph.edges[i]
-        incident[tail].append(head)
-        incident[head].append(tail)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in incident[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def _tight_reach_to(graph: Digraph, tight: frozenset[int], goal: int) -> set[int]:
-    """Nodes with a tight directed path into ``goal`` (including goal)."""
-    into: dict[int, list[int]] = {v: [] for v in range(graph.node_count)}
-    for i in tight:
-        tail, head = graph.edges[i]
-        into[head].append(tail)
-    reach = {goal}
-    queue = deque([goal])
-    while queue:
-        v = queue.popleft()
-        for w in into[v]:
-            if w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return reach
 
 
 def build_insertion_partition(
@@ -336,31 +295,38 @@ def build_insertion_partition(
         raise InfeasiblePoint("partition construction needs a feasible point")
     if slack(graph, costs, point, edge_index) == 0:
         raise ValidationError("edge is already tight")
+    circuit, sign, _ = _insertion_partition(graph, costs, point, edge_index)
+    return circuit, sign
+
+
+def _insertion_partition(
+    graph: Digraph, costs: CostVector, point: Point, edge_index: int
+) -> tuple[PartitionCircuit, int, frozenset[int]]:
+    """:func:`build_insertion_partition` for a feasible point at which the
+    edge is loose; also returns the nodes with a tight directed path into
+    the edge's head."""
     start, goal = graph.edges[edge_index]
-    tight = tight_graph(graph, costs, point)
-    goal_side = _tight_reach_to(graph, tight, goal)
+    into: list[list[int]] = [[] for _ in range(graph.node_count)]
+    for i in tight_graph(graph, costs, point):
+        tail, head = graph.edges[i]
+        into[head].append(tail)
+    goal_side = frozenset(bfs_parents(goal, into.__getitem__))
     if start in goal_side:
         raise PathConflict(
             "a tight directed path already runs from the edge's tail to its head"
         )
-    rest = set(range(graph.node_count)) - goal_side
     adj = underlying_adjacency(graph)
-    start_side = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w in rest and w not in start_side:
-                start_side.add(w)
-                queue.append(w)
+    start_side = set(
+        bfs_parents(start, lambda v: [w for w in adj[v] if w not in goal_side])
+    )
     full_goal_side = set(range(graph.node_count)) - start_side
     if not connected_in_underlying(graph, full_goal_side):
         raise InvalidPartition("goal side is disconnected")
     if not connected_in_underlying(graph, start_side):
         raise InvalidPartition("start side is disconnected")
     if ANCHOR in start_side:
-        return PartitionCircuit(frozenset(full_goal_side)), 1
-    return PartitionCircuit(frozenset(start_side)), -1
+        return PartitionCircuit(frozenset(full_goal_side)), 1, goal_side
+    return PartitionCircuit(frozenset(start_side)), -1, goal_side
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +347,10 @@ def walk_from_points(
 def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
     """Lexicographically smallest spanning tree inside a tight set."""
     parent = list(range(graph.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = []
     for i in sorted(tight):
         tail, head = graph.edges[i]
-        rt, rh = find(tail), find(head)
+        rt, rh = _find(parent, tail), _find(parent, head)
         if rt != rh:
             parent[rt] = rh
             tree.append(i)
@@ -413,13 +372,15 @@ class _ContractionStack:
             point = _lift_raw(record, point)
         return point
 
-    def contract(self, edge_index: int) -> ContractionRecord:
-        contracted, contracted_costs, record = contract_edge(
-            self.graph, self.costs, edge_index
-        )
-        self.graph, self.costs = contracted, contracted_costs
+    def contract(self, point: Point, remaining: list[int]) -> tuple[Point, list[int]]:
+        """Contract ``remaining[0]``, which is tight at the feasible point;
+        return the point and the other remaining edges after contraction."""
+        self.graph, self.costs, record = _contract(self.graph, self.costs, remaining[0])
         self.records.append(record)
-        return record
+        remaining = [record.edge_map[i] for i in remaining[1:]]
+        if None in remaining:
+            raise InternalInvariant("a target edge collapsed")
+        return project_point(record, point), remaining
 
 
 def edge_walk(
@@ -467,7 +428,7 @@ def edge_walk(
             else:
                 circuit, sign = PartitionCircuit(start_side), -1
             try:
-                step = max_step(stack.graph, stack.costs, current, circuit, sign)
+                step = _max_step(stack.graph, stack.costs, current, circuit, sign)
             except NotApplicable as exc:
                 raise DegenerateInstance(
                     "pivot blocked by an already-tight edge; perturb the costs"
@@ -476,25 +437,17 @@ def edge_walk(
                 raise DegenerateInstance(
                     "pivot tightened several inequalities at once; perturb the costs"
                 )
-            assert not step.entering_edges & deleted, "re-inserted a deleted edge"
+            if step.entering_edges & deleted:
+                raise InternalInvariant("re-inserted a deleted edge")
             deleted.add(dropped)
-            delta = step.epsilon if sign > 0 else -step.epsilon
-            current = Point(
-                tuple(
-                    c + delta if v in circuit.s_set else c
-                    for v, c in enumerate(current.coords)
-                )
-            )
+            current = shift_point(current, circuit.s_set, sign * step.epsilon)
             points.append(stack.lift(current))
             seen_pivots += 1
             if seen_pivots > bound:
-                raise RuntimeError("pivot phase exceeded its guaranteed bound")
-        record = stack.contract(rs)
-        current = project_point(record, current)
-        remaining = [record.edge_map[i] for i in remaining[1:]]
-        assert all(i is not None for i in remaining), "a target edge collapsed"
+                raise InternalInvariant("pivot phase exceeded its guaranteed bound")
+        current, remaining = stack.contract(current, remaining)
     if points[-1] != target:
-        raise RuntimeError("edge walk did not terminate at the target")
+        raise InternalInvariant("edge walk did not terminate at the target")
     return walk_from_points(graph, costs, points, "edge")
 
 
@@ -519,40 +472,25 @@ def circuit_walk(
     points = [source]
     while remaining:
         rs = remaining[0]
-        goal = stack.graph.edges[rs][1]
+        reach = None
         steps_in_phase = 0
         while slack(stack.graph, stack.costs, current, rs) != 0:
-            circuit, sign = build_insertion_partition(
+            # the partition's goal side is the reach set at the current point
+            circuit, sign, grown = _insertion_partition(
                 stack.graph, stack.costs, current, rs
             )
-            step = max_step(stack.graph, stack.costs, current, circuit, sign)
-            before = _tight_reach_to(
-                stack.graph, tight_graph(stack.graph, stack.costs, current), goal
-            )
-            delta = step.epsilon if sign > 0 else -step.epsilon
-            current = Point(
-                tuple(
-                    c + delta if v in circuit.s_set else c
-                    for v, c in enumerate(current.coords)
-                )
-            )
+            if reach is not None and not grown > reach:
+                raise InternalInvariant("insertion step did not grow the reach set")
+            reach = grown
+            step = _max_step(stack.graph, stack.costs, current, circuit, sign)
+            current = shift_point(current, circuit.s_set, sign * step.epsilon)
             points.append(stack.lift(current))
             steps_in_phase += 1
-            if slack(stack.graph, stack.costs, current, rs) != 0:
-                after = _tight_reach_to(
-                    stack.graph,
-                    tight_graph(stack.graph, stack.costs, current),
-                    goal,
-                )
-                assert after > before, "insertion step did not grow the reach set"
             if steps_in_phase > stack.graph.node_count - 1:
-                raise RuntimeError("insertion phase exceeded its guaranteed bound")
-        record = stack.contract(rs)
-        current = project_point(record, current)
-        remaining = [record.edge_map[i] for i in remaining[1:]]
-        assert all(i is not None for i in remaining), "a target edge collapsed"
+                raise InternalInvariant("insertion phase exceeded its guaranteed bound")
+        current, remaining = stack.contract(current, remaining)
     if points[-1] != target:
-        raise RuntimeError("circuit walk did not terminate at the target")
+        raise InternalInvariant("circuit walk did not terminate at the target")
     return walk_from_points(graph, costs, points, "circuit")
 
 
@@ -618,7 +556,8 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
             common = tight_graph(graph, costs, before) & tight_graph(
                 graph, costs, after
             )
-            if component_count(graph, common) != 2:
+            pairs = [graph.edges[i] for i in common]
+            if component_count(graph.node_count, pairs) != 2:
                 return WalkValidation(
                     False, f"points {k} and {k + 1} are not adjacent vertices"
                 )

@@ -26,10 +26,12 @@ def far_vertex():
 
 
 def random_sub_tournament(
-    rng: random.Random, size: int, skip: float = 0.5
+    rng: random.Random, size: int, skip: float = 0.5, integer_costs: bool = False
 ) -> tuple[df.Digraph, df.CostVector]:
     """Connected orientation of a random subset of the complete graph with
-    nonnegative rational costs (denominators up to 20, values in [0, 3])."""
+    nonnegative rational costs (denominators up to 20, values in [0, 3]), or
+    with integer costs in {0, 1, 2}, under which degenerate vertices are
+    common."""
     while True:
         edges = []
         for i in range(size):
@@ -42,6 +44,8 @@ def random_sub_tournament(
             graph = df.Digraph(size, tuple(edges))
         except df.ValidationError:
             continue
+        if integer_costs:
+            return graph, tuple(Fraction(rng.randint(0, 2)) for _ in edges)
         costs = []
         for _ in edges:
             den = rng.randint(1, 20)

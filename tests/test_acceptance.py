@@ -19,6 +19,7 @@ from conftest import random_sub_tournament
 
 SWEEP_SEED = 20260809
 SWEEP_INSTANCES = 200
+DEGENERATE_INSTANCES = 100
 
 
 @contextmanager
@@ -317,3 +318,57 @@ def test_criterion_10_contraction_face_bijection():
             assert sorted(p.coords for p in lifted) == sorted(
                 p.coords for p in on_face
             )
+
+
+def test_criterion_11_degenerate_instances():
+    from dualflow.oracle import _circuit_search, default_depth_cap
+
+    with criterion(11, "degenerate instances", 30.0):
+        rng = random.Random(SWEEP_SEED + 11)
+        degenerate = pairs = perturbed_pairs = 0
+        for _ in range(DEGENERATE_INSTANCES):
+            size = rng.choice([3, 4, 5, 6])
+            graph, costs = random_sub_tournament(rng, size, integer_costs=True)
+            nodes = graph.node_count
+            vertices = df.enumerate_vertices(graph, costs).vertices
+            for source in vertices:
+                targets = [v for v in vertices if v != source]
+                if not targets:
+                    continue
+                chains = _circuit_search(
+                    graph, costs, source, targets, default_depth_cap(graph), 10**6
+                )
+                for target in targets:
+                    pairs += 1
+                    walk = df.circuit_walk(graph, costs, source, target)
+                    check = df.validate_walk(graph, costs, walk)
+                    assert check.valid, check.violation
+                    assert walk.length <= nodes * (nodes - 1) // 2
+                    assert len(chains[target]) - 1 <= walk.length
+                    try:
+                        edge = df.edge_walk(graph, costs, source, target)
+                    except df.DegenerateInstance:
+                        continue
+                    check = df.validate_walk(graph, costs, edge)
+                    assert check.valid, check.violation
+            if df.degeneracy_report(graph, costs).nondegenerate:
+                continue
+            degenerate += 1
+            perturbed = df.perturb_costs(graph, costs, rng.randrange(10**9))
+            assert df.degeneracy_report(graph, perturbed).nondegenerate
+            edge_bound = min((nodes - 1) * graph.edge_count, (nodes**3 - nodes) // 6)
+            perturbed_vertices = df.enumerate_vertices(graph, perturbed).vertices
+            for source in perturbed_vertices:
+                for target in perturbed_vertices:
+                    if source == target:
+                        continue
+                    perturbed_pairs += 1
+                    edge = df.edge_walk(graph, perturbed, source, target)
+                    check = df.validate_walk(graph, perturbed, edge)
+                    assert check.valid, check.violation
+                    assert edge.length <= edge_bound
+        assert degenerate > 0
+        print(
+            f"  (criterion 11 detail: {degenerate} degenerate instances, "
+            f"{pairs} ordered pairs, {perturbed_pairs} after perturbation)"
+        )

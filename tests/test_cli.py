@@ -238,3 +238,33 @@ def test_usage_error_exit_codes(example_file):
     assert invoke(["unknown-command"])[0] == 2
     assert invoke(["distance", example_file, "--mode", "circuit"])[0] == 2
     assert invoke(["vertices", "/does/not/exist.graph"])[0] == 2
+
+
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    code, text = invoke(["vertices", str(tmp_path)])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("dualflow: cannot open file:")
+    code, text = invoke(["vertices", str(tmp_path), "--json"])
+    assert code == 2
+    report = json.loads(text)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "unreadable-file"
+
+
+def test_non_utf8_input_is_format_error(tmp_path):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("# café\nnodes 1\n".encode("latin-1"))
+    code, text = invoke(["vertices", str(path), "--json"])
+    assert code == 1
+    assert json.loads(text)["error"]["code"] == "format"
+
+
+def test_missing_file_json_report(capsys):
+    code, text = invoke(["vertices", "/does/not/exist.graph", "--json"])
+    assert code == 2
+    report = json.loads(text)
+    assert sorted(report) == ["command", "error", "instance", "result", "status"]
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "missing-file"
+    assert "missing file" in capsys.readouterr().err

@@ -359,6 +359,24 @@ def test_degeneracy_example(example):
     report = df.degeneracy_report(graph, costs)
     assert report.nondegenerate
     assert report.witnesses == ()
+    # integer costs make ties common: the witnesses are exactly the vertices
+    # with more than node_count - 1 tight edges
+    rng = random.Random(31)
+    degenerate = 0
+    for _ in range(60):
+        graph, costs = random_sub_tournament(
+            rng, rng.randint(2, 6), integer_costs=True
+        )
+        extra_tight = tuple(
+            v
+            for v in df.enumerate_vertices(graph, costs).vertices
+            if len(df.tight_graph(graph, costs, v)) > graph.node_count - 1
+        )
+        report = df.degeneracy_report(graph, costs)
+        assert report.witnesses == extra_tight
+        assert report.nondegenerate == (not extra_tight)
+        degenerate += not report.nondegenerate
+    assert degenerate > 0
 
 
 def test_degeneracy_two_node():

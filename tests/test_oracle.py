@@ -203,6 +203,9 @@ def test_scaled_search_matches_public_neighbors():
                     (step.circuit.s_set, step.sign, step.epsilon)
                 )
             assert fast == public
+    off_grid = Fraction(1, scaled.scale + 1)
+    with pytest.raises(df.InternalInvariant):
+        scaled.to_state(df.Point.of(0, off_grid, *[0] * (graph.node_count - 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -442,3 +444,16 @@ def test_perturb_costs_shape_and_size(example):
     for before, after in zip(costs, jiggled):
         assert 0 <= after - before < 1
         assert (after - before).denominator <= 10**9
+
+
+# ---------------------------------------------------------------------------
+# internal invariants
+
+
+def test_package_has_no_assert_statements():
+    """Invariant checks raise InternalInvariant, which survives ``python -O``."""
+    package = pathlib.Path(df.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
