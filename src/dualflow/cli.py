@@ -90,20 +90,21 @@ def _resolve_point(
 
 
 def _emit(report: dict, args, out: IO[str]) -> None:
-    target = out
-    handle = None
+    """Write the report to ``-o FILE`` when given, else to ``out``; opening
+    the file may raise :class:`OSError`."""
     if getattr(args, "output", None) and args.command not in ("gen", "glue"):
-        handle = open(args.output, "w", encoding="utf-8")
-        target = handle
-    try:
-        if args.json:
-            json.dump(report, target, indent=2, default=str)
-            target.write("\n")
-        else:
-            _emit_text(report, target)
-    finally:
-        if handle is not None:
-            handle.close()
+        with open(args.output, "w", encoding="utf-8") as handle:
+            _write_report(report, args, handle)
+    else:
+        _write_report(report, args, out)
+
+
+def _write_report(report: dict, args, target: IO[str]) -> None:
+    if args.json:
+        json.dump(report, target, indent=2, default=str)
+        target.write("\n")
+    else:
+        _emit_text(report, target)
 
 
 def _emit_text(report: dict, out: IO[str]) -> None:
@@ -450,31 +451,40 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
     try:
         payload = _HANDLERS[command](args, out)
     except OSError as exc:
-        if isinstance(exc, FileNotFoundError):
-            code, message = "missing-file", f"missing file: {exc.filename}"
-        else:
-            code = "unreadable-file"
-            message = f"cannot open file: {exc.filename} ({exc.strerror})"
-        sys.stderr.write(f"dualflow: {message}\n")
-        if args.json:
-            report["status"] = "error"
-            report["error"] = {"code": code, "message": message}
-            _emit(report, args, out)
-        return 2
+        return _file_error(exc, report, args, out)
     except DualflowError as exc:
         report["status"] = "error"
         report["error"] = {"code": exc.code, "message": str(exc)}
-        _emit(report, args, out)
-        return 1
-    report["instance"] = payload.get("instance")
-    report["result"] = payload.get("result")
-    exit_code = payload.get("exit_code", 0)
-    if exit_code:
-        report["status"] = "error"
-        report["error"] = {"code": "verification-failed", "message": "checks failed"}
-    if args.json or command not in ("gen", "glue") or args.output:
-        _emit(report, args, out)
+        exit_code = 1
+    else:
+        report["instance"] = payload.get("instance")
+        report["result"] = payload.get("result")
+        exit_code = payload.get("exit_code", 0)
+        if exit_code:
+            report["status"] = "error"
+            report["error"] = {"code": "verification-failed", "message": "checks failed"}
+    if exit_code or args.json or command not in ("gen", "glue") or args.output:
+        try:
+            _emit(report, args, out)
+        except OSError as exc:
+            return _file_error(exc, report, args, out)
     return exit_code
+
+
+def _file_error(exc: OSError, report: dict, args, out: IO[str]) -> int:
+    """Report a file that cannot be read or written: one line on stderr and,
+    with ``--json``, an error report on ``out`` (never on ``-o FILE``, which
+    may be the file at fault); exit code 2."""
+    if isinstance(exc, FileNotFoundError):
+        code, message = "missing-file", f"missing file: {exc.filename}"
+    else:
+        code = "unreadable-file"
+        message = f"cannot open file: {exc.filename} ({exc.strerror})"
+    sys.stderr.write(f"dualflow: {message}\n")
+    if args.json:
+        report.update(status="error", result=None, error={"code": code, "message": message})
+        _write_report(report, args, out)
+    return 2
 
 
 def main() -> None:

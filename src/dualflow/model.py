@@ -7,6 +7,8 @@ whose coordinate is pinned to zero.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,6 +119,120 @@ def _find(parent: list[int], v: int) -> int:
         parent[v] = parent[parent[v]]
         v = parent[v]
     return v
+
+
+@dataclass(frozen=True)
+class Block:
+    """One biconnected block of a graph, renumbered on its own.
+
+    Local node 0 is the anchor: the block's node nearest node 0 of the whole
+    graph (a cut vertex, or node 0 itself).  ``nodes`` and ``edges`` map local
+    node and edge indices to the whole graph's.  ``lift[x]`` is the set of the
+    whole graph's nodes that move when local node ``x`` moves: ``x`` and every
+    node hanging below it in the block-cut tree.  The polyhedron is the
+    direct sum of its blocks' polyhedra in the local coordinates
+    ``u[x] - u[anchor]``.
+    """
+
+    graph: Digraph
+    nodes: tuple[int, ...]
+    edges: tuple[int, ...]
+    lift: tuple[frozenset[int], ...]
+
+    def costs(self, costs: Sequence[Fraction]) -> Sequence[Fraction]:
+        """The block's edge costs; a block holding every edge is the whole
+        graph and gets the caller's costs unchanged."""
+        if len(self.edges) == len(costs):
+            return costs
+        return tuple(costs[i] for i in self.edges)
+
+    def local(self, point: Point) -> Point:
+        """The block's local coordinates of a point of the whole graph."""
+        base = point[self.nodes[0]]
+        if not base:
+            return Point(tuple(point[v] for v in self.nodes))
+        return Point(tuple(point[v] - base for v in self.nodes))
+
+
+@lru_cache(maxsize=256)
+def blocks(graph: Digraph) -> tuple[Block, ...]:
+    """The biconnected blocks, found by an iterative Hopcroft-Tarjan depth-first
+    search from node 0, in the order the search entered them, so that each
+    block's anchor lies in an earlier block.  A 2-connected graph is its own
+    single block, with the very same :class:`Digraph`."""
+    adj = underlying_adjacency(graph)
+    order = [-1] * graph.node_count
+    low = [0] * graph.node_count
+    order[ANCHOR] = 0
+    visited = 1
+    found: list[list[int]] = []  # anchor first, in the order the blocks close
+    entered: list[int] = []  # search time of each block's first node below its anchor
+    stack: list[int] = []
+    todo = [(ANCHOR, iter(adj[ANCHOR]))]
+    while todo:
+        v, pending = todo[-1]
+        for w in pending:
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append(w)
+                todo.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], order[w])
+        else:
+            todo.pop()
+            if todo:
+                parent = todo[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= order[parent]:
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                    found.append([parent] + sorted(members))
+                    entered.append(order[v])
+    if len(found) <= 1:
+        n, m = graph.node_count, graph.edge_count
+        lift = (frozenset(),) + tuple(frozenset({v}) for v in range(1, n))
+        return (Block(graph, tuple(range(n)), tuple(range(m)), lift),)
+    home: dict[int, int] = {}  # node -> the block holding it below its anchor
+    for index, members in enumerate(found):
+        for v in members[1:]:
+            home[v] = index
+    block_edges: list[list[int]] = [[] for _ in found]
+    for i, (tail, head) in enumerate(graph.edges):
+        index = home.get(tail)
+        if index is None or head not in found[index]:
+            index = home[head]
+        block_edges[index].append(i)
+    below: dict[int, frozenset[int]] = {}
+    result = []
+    for members, edge_ids in zip(found, block_edges):
+        local = {v: x for x, v in enumerate(members)}
+        lift = tuple(
+            frozenset({v}) | below.get(v, frozenset()) if x else frozenset()
+            for x, v in enumerate(members)
+        )
+        below[members[0]] = below.get(members[0], frozenset()).union(*lift)
+        block_graph = Digraph(
+            len(members),
+            tuple((local[graph.edges[i][0]], local[graph.edges[i][1]]) for i in edge_ids),
+        )
+        result.append(Block(block_graph, tuple(members), tuple(edge_ids), lift))
+    return tuple(block for _, block in sorted(zip(entered, result)))
+
+
+def join_points(
+    node_count: int, parts: Sequence[Block], points: Sequence[Point]
+) -> Point:
+    """The point of the whole graph whose block-local parts are ``points``:
+    each local coordinate moves the nodes its lift names."""
+    coords = [Fraction(0)] * node_count
+    for block, point in zip(parts, points):
+        for x in range(1, len(block.nodes)):
+            if point[x]:
+                for v in block.lift[x]:
+                    coords[v] += point[x]
+    return Point(tuple(coords))
 
 
 @lru_cache(maxsize=256)
@@ -462,9 +578,7 @@ def enumerate_spanning_trees(
     Counts first via the matrix-tree theorem and raises
     :class:`InstanceTooLarge` when the count exceeds ``cap``.
     """
-    total = count_spanning_trees(graph)
-    if total > cap:
-        raise InstanceTooLarge(f"{total} spanning trees exceed cap {cap}")
+    _check_tree_cap(count_spanning_trees(graph), cap)
     n = graph.node_count
     if n == 1:
         yield frozenset()
@@ -495,6 +609,11 @@ def enumerate_spanning_trees(
             yield from rec(index + 1, chosen, parent)
 
     yield from rec(0, [], list(range(n)))
+
+
+def _check_tree_cap(total: int, cap: int) -> None:
+    if total > cap:
+        raise InstanceTooLarge(f"{total} spanning trees exceed cap {cap}")
 
 
 def _spannable(graph: Digraph, parent: list[int], start: int) -> bool:
@@ -533,15 +652,49 @@ class VertexSet:
 def enumerate_vertices(
     graph: Digraph, costs: Sequence[Fraction], tree_cap: int = DEFAULT_TREE_CAP
 ) -> VertexSet:
-    """Every vertex, found by solving each spanning tree and keeping the
-    feasible results; vertices are sorted by coordinates.  Results are
-    cached per instance and cap."""
+    """Every vertex, sorted by coordinates.  Results are cached per instance
+    and cap.
+
+    The vertices are the product of the blocks' vertices (see
+    :func:`blocks`), and each tree witness is the union of one witness tree
+    per block.  Each block solves each of its spanning trees and keeps the
+    feasible results.  ``tree_cap`` bounds the whole graph's spanning trees,
+    the product of the blocks' counts, because the result is the product.
+    """
     check_costs(graph, costs)
     return _vertex_set(graph, tuple(costs), tree_cap)
 
 
 @lru_cache(maxsize=64)
 def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
+    parts = blocks(graph)
+    if len(parts) == 1:
+        return _tree_vertex_set(graph, costs, tree_cap)
+    _check_tree_cap(math.prod(count_spanning_trees(b.graph) for b in parts), tree_cap)
+    factors = []
+    for block in parts:
+        vertex_set = _vertex_set(block.graph, block.costs(costs), tree_cap)
+        witnesses = [
+            [frozenset(block.edges[i] for i in tree) for tree in trees]
+            for trees in vertex_set.tree_witnesses
+        ]
+        factors.append(list(zip(vertex_set.vertices, witnesses)))
+    combined = []
+    for choice in itertools.product(*factors):
+        vertex = join_points(graph.node_count, parts, [point for point, _ in choice])
+        trees = tuple(
+            frozenset().union(*union)
+            for union in itertools.product(*(witnesses for _, witnesses in choice))
+        )
+        combined.append((vertex, trees))
+    combined.sort(key=lambda item: item[0].coords)
+    return VertexSet(
+        tuple(vertex for vertex, _ in combined),
+        tuple(trees for _, trees in combined),
+    )
+
+
+def _tree_vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
     buckets: dict[tuple[Fraction, ...], list[frozenset[int]]] = {}
     for tree in enumerate_spanning_trees(graph, cap=tree_cap):
         try:

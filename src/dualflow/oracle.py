@@ -1,6 +1,15 @@
 """Ground-truth oracles: vertex enumeration from spanning trees, skeleton
 adjacency, and exact distances/diameters by breadth-first search.
 
+Every distance and diameter query is split at the cut vertices (see
+:func:`dualflow.model.blocks`).  The polyhedron is the product of its
+blocks' polyhedra, so the skeleton is the Cartesian product of the blocks'
+skeletons, and every circuit lies inside one block.  Each block is
+searched on its own and the lengths add.  Witness walks move one block at a
+time and are checked on the whole graph by :func:`walk_from_points`.  A
+2-connected graph is its own single block.  The depth and state caps bound
+the whole query, and the blocks share them; ``tree_cap`` applies per block.
+
 Circuit-walk search runs on an integer-scaled copy of the instance (all
 coordinates are multiples of 1/L where L is the lcm of the cost
 denominators), which keeps the state space hashable and the arithmetic
@@ -32,16 +41,19 @@ from .errors import (
     UnboundedDirection,
 )
 from .model import (
+    Block,
     CostVector,
     DEFAULT_TREE_CAP,
     Digraph,
     Point,
     VertexSet,
     bfs_parents,
+    blocks,
     component_count,
     enumerate_vertices,
     is_feasible,
     is_vertex,
+    join_points,
     shift_point,
     tight_graph,
 )
@@ -220,6 +232,31 @@ def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
     return _Skeleton(vertex_set, tuple(tuple(a) for a in adjacency))
 
 
+def _chain(parents: dict, end):
+    """The path from the root of a search's parents map to ``end``."""
+    chain = [end]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def _walk_through_blocks(
+    start: Point, parts: Sequence[Block], chains: Sequence[Sequence[Point]]
+) -> list[Point]:
+    """The whole graph's points of a walk from ``start`` that runs each
+    block's chain of local points in turn, moving one block at a time.  A
+    block step along S moves the union of the lifts of S's nodes."""
+    points = [start]
+    for block, chain in zip(parts, chains):
+        for before, after in zip(chain, chain[1:]):
+            moved = [x for x in range(1, len(before)) if before[x] != after[x]]
+            s_set = frozenset().union(*(block.lift[x] for x in moved))
+            delta = after[moved[0]] - before[moved[0]]
+            points.append(shift_point(points[-1], s_set, delta))
+    return points
+
+
 def combinatorial_distance(
     graph: Digraph,
     costs: CostVector,
@@ -227,22 +264,25 @@ def combinatorial_distance(
     target: Point,
     tree_cap: int = DEFAULT_TREE_CAP,
 ) -> DistanceResult:
-    """Exact shortest edge-walk length via BFS on the skeleton graph."""
-    skeleton = _skeleton(graph, costs, tree_cap)
-    src = skeleton.vertex_set.index_of(source)
-    dst = skeleton.vertex_set.index_of(target)
-    if src == dst:
-        return DistanceResult(0, walk_from_points(graph, costs, [source], "edge"))
-    parents = bfs_parents(src, skeleton.adjacency.__getitem__)
-    if dst not in parents:
-        raise NotAVertex("target unreachable on the skeleton")
-    chain = [dst]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    chain.reverse()
-    points = [skeleton.vertex_set.vertices[i] for i in chain]
+    """Exact shortest edge-walk length.  The skeleton is the Cartesian
+    product of the blocks' skeletons, so each block's skeleton is searched
+    breadth-first and the lengths add; ``tree_cap`` applies per block."""
+    for point in (source, target):
+        if len(point) != graph.node_count:
+            raise NotAVertex(f"{point} is not an enumerated vertex")
+    parts = blocks(graph)
+    chains = []
+    for block in parts:
+        skeleton = _skeleton(block.graph, block.costs(costs), tree_cap)
+        src = skeleton.vertex_set.index_of(block.local(source))
+        dst = skeleton.vertex_set.index_of(block.local(target))
+        parents = bfs_parents(src, skeleton.adjacency.__getitem__)
+        if dst not in parents:
+            raise NotAVertex("target unreachable on the skeleton")
+        chains.append([skeleton.vertex_set.vertices[i] for i in _chain(parents, dst)])
+    points = _walk_through_blocks(source, parts, chains)
     walk = walk_from_points(graph, costs, points, "edge")
-    return DistanceResult(len(chain) - 1, walk)
+    return DistanceResult(len(points) - 1, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +294,20 @@ def default_depth_cap(graph: Digraph) -> int:
     return n * (n - 1) // 2
 
 
+@dataclass(frozen=True)
+class _Reach:
+    """One circuit search: the distance to each target, and the search tree
+    that gives a shortest chain on demand."""
+
+    scaled: _ScaledInstance
+    parents: dict[tuple[int, ...], tuple[int, ...] | None]
+    lengths: dict[Point, int]
+
+    def chain(self, target: Point) -> list[Point]:
+        states = _chain(self.parents, self.scaled.to_state(target))
+        return [self.scaled.to_point(state) for state in states]
+
+
 def _circuit_search(
     graph: Digraph,
     costs: CostVector,
@@ -261,8 +315,9 @@ def _circuit_search(
     targets: Sequence[Point],
     depth_cap: int,
     state_cap: int,
-) -> dict[Point, list[Point]]:
-    """BFS over exact points; returns a point chain per reached target.
+) -> _Reach:
+    """BFS over exact points of one instance, not split into blocks; the
+    oracles call it once per block.
 
     Stops as soon as every target is found.  Raises
     :class:`FrontierTooLarge` past ``state_cap`` states and
@@ -270,7 +325,10 @@ def _circuit_search(
     """
     scaled = _scaled_instance(graph, costs)
     start = scaled.to_state(source)
-    wanted = {scaled.to_state(t) for t in targets}
+    target_of = {scaled.to_state(t): t for t in targets}
+    # a set filled one state at a time: its order picks the diameter's pair
+    # among equally far targets
+    wanted = {state for state in target_of}
     found: dict[tuple[int, ...], None] = {}
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     frontier = [start]
@@ -295,18 +353,14 @@ def _circuit_search(
         frontier = next_frontier
         if len(found) == len(wanted):
             break
-    chains: dict[Point, list[Point]] = {}
+    lengths: dict[Point, int] = {}
     for state in wanted:
         if state not in found:
             raise DepthCapExceeded(
                 f"target not reached within depth {depth_cap}"
             )
-        chain = [state]
-        while parents[chain[-1]] is not None:
-            chain.append(parents[chain[-1]])
-        chain.reverse()
-        chains[scaled.to_point(state)] = [scaled.to_point(s) for s in chain]
-    return chains
+        lengths[target_of[state]] = len(_chain(parents, state)) - 1
+    return _Reach(scaled, parents, lengths)
 
 
 def circuit_distance(
@@ -317,16 +371,76 @@ def circuit_distance(
     depth_cap: int | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> DistanceResult:
-    """Exact shortest circuit-walk length from source to target (directional)."""
+    """Exact shortest circuit-walk length from source to target (directional).
+
+    Every circuit lies inside one block, so each block is searched on its
+    own and the lengths add.  The caps bound the whole query: each block's
+    search gets the depth and the states that the earlier blocks left.
+    """
     for point in (source, target):
         if not is_vertex(graph, costs, point):
             raise NotAVertex(f"{tuple(point)} is not a vertex")
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
-    chains = _circuit_search(graph, costs, source, [target], depth_cap, state_cap)
-    points = chains[target]
+    parts = blocks(graph)
+    chains = []
+    for block in parts:
+        goal = block.local(target)
+        reach = _circuit_search(
+            block.graph, block.costs(costs), block.local(source), [goal],
+            depth_cap, state_cap,
+        )
+        depth_cap -= reach.lengths[goal]
+        state_cap -= len(reach.parents)
+        chains.append(reach.chain(goal))
+    points = _walk_through_blocks(source, parts, chains)
     walk = walk_from_points(graph, costs, points, "circuit")
     return DistanceResult(len(points) - 1, walk)
+
+
+# ---------------------------------------------------------------------------
+# diameters
+
+
+def _edge_diameter(
+    graph: Digraph, costs: CostVector, tree_cap: int
+) -> tuple[int, tuple[Point, Point] | None]:
+    skeleton = _skeleton(graph, costs, tree_cap)
+    vertices = skeleton.vertex_set.vertices
+    best = 0
+    pair = None
+    for src in range(len(vertices)):
+        depths: dict[int, int] = {}
+        for w, parent in bfs_parents(src, skeleton.adjacency.__getitem__).items():
+            depths[w] = 0 if parent is None else depths[parent] + 1
+        if len(depths) < len(vertices):
+            raise NotAVertex("skeleton is disconnected")
+        far = max(depths, key=lambda w: (depths[w], w))
+        if depths[far] > best:
+            best = depths[far]
+            pair = (vertices[src], vertices[far])
+    return best, pair
+
+
+def _circuit_diameter(
+    graph: Digraph, costs: CostVector, tree_cap: int, depth_cap: int, state_cap: int
+) -> tuple[int, tuple[Point, Point] | None, int]:
+    """The value, a pair attaining it, and the most states one search held."""
+    vertices = enumerate_vertices(graph, costs, tree_cap=tree_cap).vertices
+    best = 0
+    pair = None
+    states = 0
+    for source in vertices:
+        others = [v for v in vertices if v != source]
+        if not others:
+            continue
+        reach = _circuit_search(graph, costs, source, others, depth_cap, state_cap)
+        states = max(states, len(reach.parents))
+        for target, length in reach.lengths.items():
+            if length > best:
+                best = length
+                pair = (source, target)
+    return best, pair, states
 
 
 def diameter(
@@ -338,37 +452,38 @@ def diameter(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> DiameterResult:
     """Maximum distance over vertex pairs: unordered for edge mode, ordered
-    for circuit mode (circuit walks are directional)."""
+    for circuit mode (circuit walks are directional).
+
+    Distances add over the blocks and each block's pair can be chosen on its
+    own, so the diameter is the sum of the blocks' diameters, attained by
+    the pair joined from the blocks' pairs.  ``tree_cap`` applies per
+    block; in circuit mode each block's searches get the depth that the
+    earlier blocks' diameters left, and the states that their largest
+    searches left.
+    """
     if mode not in ("edge", "circuit"):
         raise ValueError("mode must be 'edge' or 'circuit'")
-    if mode == "edge":
-        skeleton = _skeleton(graph, costs, tree_cap)
-        vertices = skeleton.vertex_set.vertices
-        best = 0
-        pair = None
-        for src in range(len(vertices)):
-            depths: dict[int, int] = {}
-            for w, parent in bfs_parents(src, skeleton.adjacency.__getitem__).items():
-                depths[w] = 0 if parent is None else depths[parent] + 1
-            if len(depths) < len(vertices):
-                raise NotAVertex("skeleton is disconnected")
-            far = max(depths, key=lambda w: (depths[w], w))
-            if depths[far] > best:
-                best = depths[far]
-                pair = (vertices[src], vertices[far])
-        return DiameterResult(best, pair)
-    vertices = enumerate_vertices(graph, costs, tree_cap=tree_cap).vertices
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
-    best = 0
-    pair = None
-    for source in vertices:
-        others = [v for v in vertices if v != source]
-        if not others:
-            continue
-        chains = _circuit_search(graph, costs, source, others, depth_cap, state_cap)
-        for target, chain in chains.items():
-            if len(chain) - 1 > best:
-                best = len(chain) - 1
-                pair = (source, target)
-    return DiameterResult(best, pair)
+    parts = blocks(graph)
+    total = 0
+    ends = []
+    for block in parts:
+        block_costs = block.costs(costs)
+        if mode == "edge":
+            value, pair = _edge_diameter(block.graph, block_costs, tree_cap)
+        else:
+            value, pair, states = _circuit_diameter(
+                block.graph, block_costs, tree_cap, depth_cap - total, state_cap
+            )
+            state_cap -= states
+        if pair is None:  # a block with a single vertex
+            only = enumerate_vertices(block.graph, block_costs, tree_cap).vertices[0]
+            pair = (only, only)
+        total += value
+        ends.append(pair)
+    if total == 0:
+        return DiameterResult(0, None)
+    source = join_points(graph.node_count, parts, [a for a, _ in ends])
+    target = join_points(graph.node_count, parts, [b for _, b in ends])
+    return DiameterResult(total, (source, target))

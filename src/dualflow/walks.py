@@ -548,15 +548,15 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
         if maximal.entering_edges != step.entering_edges:
             return WalkValidation(False, f"step {k} records wrong entering edges")
     if walk.mode == "edge":
-        for k, point in enumerate(walk.points):
-            if not is_vertex(graph, costs, point):
+        # a vertex's tight edges join all nodes; two vertices are adjacent
+        # when their common tight edges leave exactly two components
+        tights = [tight_graph(graph, costs, point) for point in walk.points]
+        for k, tight in enumerate(tights):
+            pairs = [graph.edges[i] for i in tight]
+            if component_count(graph.node_count, pairs) != 1:
                 return WalkValidation(False, f"point {k} is not a vertex")
         for k in range(len(walk.points) - 1):
-            before, after = walk.points[k], walk.points[k + 1]
-            common = tight_graph(graph, costs, before) & tight_graph(
-                graph, costs, after
-            )
-            pairs = [graph.edges[i] for i in common]
+            pairs = [graph.edges[i] for i in tights[k] & tights[k + 1]]
             if component_count(graph.node_count, pairs) != 2:
                 return WalkValidation(
                     False, f"points {k} and {k + 1} are not adjacent vertices"

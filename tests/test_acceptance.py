@@ -77,11 +77,11 @@ def sweep():
             targets = [v for v in vertices if v != source]
             if not targets:
                 continue
-            chains = _circuit_search(
+            reach = _circuit_search(
                 graph, costs, source, targets, default_depth_cap(graph), 10**6
             )
-            for target, chain in chains.items():
-                oracle_circuit[source, target] = len(chain) - 1
+            for target, length in reach.lengths.items():
+                oracle_circuit[source, target] = length
         for source in vertices:
             for target in vertices:
                 if source == target:
@@ -225,7 +225,7 @@ def test_criterion_7_glue_additivity(example):
     with criterion(7, "glue additivity", 600.0):
         graph, costs = example
         tri, tric = TRIANGLE
-        glued, glued_costs, maps = df.glue([(graph, costs, 0), (tri, tric, 0)])
+        glued, glued_costs, _ = df.glue([(graph, costs, 0), (tri, tric, 0)])
         edge_sum = (
             df.diameter(graph, costs, "edge").value
             + df.diameter(tri, tric, "edge").value
@@ -235,20 +235,7 @@ def test_criterion_7_glue_additivity(example):
             df.diameter(graph, costs, "circuit").value
             + df.diameter(tri, tric, "circuit").value
         )
-        try:
-            glued_circuit = df.diameter(
-                glued, glued_costs, "circuit", state_cap=10**6
-            ).value
-            assert glued_circuit == circuit_sum
-        except df.FrontierTooLarge:
-            # accepted fallback: the partition-locality argument gives the
-            # lower bound, the edge-mode equality stands on its own
-            part_nodes = [
-                {maps[k][v] for v in range(part.node_count)} - {0}
-                for k, part in ((0, graph), (1, tri))
-            ]
-            for circuit in df.enumerate_partitions(glued):
-                assert any(circuit.s_set <= nodes for nodes in part_nodes)
+        assert df.diameter(glued, glued_costs, "circuit").value == circuit_sum
 
 
 def test_criterion_8_lower_bound_family(example):
@@ -275,6 +262,15 @@ def test_criterion_8_lower_bound_family(example):
         walk = df.circuit_walk(glued, glued_costs, source, target)
         assert df.validate_walk(glued, glued_costs, walk).valid
         assert 8 <= walk.length <= 21
+        # the distances add over the copies: exactly 4k, and the pair is
+        # extreme, so gk(2)'s circuit diameter is exactly 8
+        for k in range(2, 7):
+            gk, gk_costs = df.family_gk(k)
+            ends = [df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near, far)]
+            result = df.circuit_distance(gk, gk_costs, *ends)
+            assert result.length == 4 * k
+            assert df.validate_walk(gk, gk_costs, result.walk).valid
+        assert df.diameter(glued, glued_costs, "circuit").value == 8
 
 
 def test_criterion_9_bipartite_bounds():
@@ -335,7 +331,7 @@ def test_criterion_11_degenerate_instances():
                 targets = [v for v in vertices if v != source]
                 if not targets:
                     continue
-                chains = _circuit_search(
+                reach = _circuit_search(
                     graph, costs, source, targets, default_depth_cap(graph), 10**6
                 )
                 for target in targets:
@@ -344,7 +340,7 @@ def test_criterion_11_degenerate_instances():
                     check = df.validate_walk(graph, costs, walk)
                     assert check.valid, check.violation
                     assert walk.length <= nodes * (nodes - 1) // 2
-                    assert len(chains[target]) - 1 <= walk.length
+                    assert reach.lengths[target] <= walk.length
                     try:
                         edge = df.edge_walk(graph, costs, source, target)
                     except df.DegenerateInstance:

@@ -268,3 +268,23 @@ def test_missing_file_json_report(capsys):
     assert report["status"] == "error"
     assert report["error"]["code"] == "missing-file"
     assert "missing file" in capsys.readouterr().err
+
+
+def test_output_directory_is_usage_error(tmp_path, capsys):
+    code, text = invoke(["verify-example", "-o", str(tmp_path)])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("dualflow: cannot open file:")
+    assert err.count("\n") == 1
+
+
+def test_output_directory_json_report(tmp_path, example_file, capsys):
+    code, text = invoke(["vertices", example_file, "--json", "-o", str(tmp_path)])
+    assert code == 2
+    report = json.loads(text)
+    assert sorted(report) == ["command", "error", "instance", "result", "status"]
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "unreadable-file"
+    assert report["result"] is None
+    assert capsys.readouterr().err.count("\n") == 1

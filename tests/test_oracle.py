@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import dualflow as df
 from conftest import geometric_adjacency, random_sub_tournament
+from dualflow.model import blocks, component_count, join_points
+from dualflow.oracle import _circuit_search, default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
 WALK_POINTS = [
@@ -319,3 +322,176 @@ def test_distance_order_and_bounds_random():
                     assert circ.length <= forward.length
                     assert circ.length <= n * (n - 1) // 2
                     assert df.validate_walk(graph, costs, circ.walk).valid
+
+
+# ---------------------------------------------------------------------------
+# block decomposition against the undecomposed references
+
+
+@lru_cache(maxsize=1)
+def cut_vertex_instances() -> tuple[tuple[df.Digraph, df.CostVector], ...]:
+    """42 seeded feasible instances with a cut vertex, in turn: two random
+    tournaments on 3-4 nodes glued at random nodes; a 4-node tournament with
+    a leaf; a sparse 6-node sub-tournament with bridges or cut vertices.
+    Every fourth has integer costs in {0, 1, 2}, so degenerate blocks occur."""
+    rng = random.Random(61)
+    made = []
+    while len(made) < 42:
+        integer = len(made) % 4 == 0
+        kind = len(made) % 3
+        if kind == 0:
+            parts = []
+            for _ in range(2):
+                part, part_costs = random_sub_tournament(
+                    rng, rng.randint(3, 4), skip=0.0, integer_costs=integer
+                )
+                parts.append((part, part_costs, rng.randrange(part.node_count)))
+            graph, costs, _ = df.glue(parts)
+        elif kind == 1:
+            graph, costs = random_sub_tournament(rng, 4, skip=0.0, integer_costs=integer)
+            graph, costs = df.add_leaf(graph, costs, rng.randrange(4))
+        else:
+            graph, costs = random_sub_tournament(rng, 6, skip=0.45, integer_costs=integer)
+        if len(blocks(graph)) > 1 and df.feasibility_status(graph, costs).feasible:
+            made.append((graph, costs))
+    return tuple(made)
+
+
+def whole_graph_vertices(graph, costs) -> dict:
+    """Vertex -> set of tree witnesses, from every spanning tree of the
+    whole graph."""
+    found: dict = {}
+    for tree in df.enumerate_spanning_trees(graph):
+        try:
+            vertex = df.vertex_from_tree(graph, costs, tree)
+        except df.InfeasibleTree:
+            continue
+        found.setdefault(vertex, set()).add(tree)
+    return found
+
+
+def test_blocks_split_at_the_cut_vertices():
+    """Blocks partition the edges, share exactly the nodes whose removal
+    disconnects the graph, and their local coordinates round-trip."""
+    for graph, costs in cut_vertex_instances():
+        parts = blocks(graph)
+        assert sorted(i for b in parts for i in b.edges) == list(range(graph.edge_count))
+        holders: dict[int, int] = {}
+        for block in parts:
+            for v in block.nodes:
+                holders[v] = holders.get(v, 0) + 1
+        for v in range(graph.node_count):
+            # removing v leaves its own isolated component behind
+            rest = [(t, h) for t, h in graph.edges if v not in (t, h)]
+            split = component_count(graph.node_count, rest) > 2
+            assert split == (holders[v] > 1)
+        for vertex in df.enumerate_vertices(graph, costs).vertices:
+            local = [block.local(vertex) for block in parts]
+            assert join_points(graph.node_count, parts, local) == vertex
+
+
+def test_decomposed_vertices_match_whole_graph_trees():
+    degenerate = 0
+    for graph, costs in cut_vertex_instances():
+        expected = whole_graph_vertices(graph, costs)
+        vertex_set = df.enumerate_vertices(graph, costs)
+        assert vertex_set.vertices == tuple(sorted(expected, key=lambda p: p.coords))
+        for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses):
+            assert len(set(trees)) == len(trees)
+            assert set(trees) == expected[vertex]
+        report = df.degeneracy_report(graph, costs)
+        assert set(report.witnesses) == {v for v, t in expected.items() if len(t) > 1}
+        degenerate += not report.nondegenerate
+    assert degenerate >= 5
+
+
+def test_decomposed_circuit_distances_match_whole_graph_search():
+    rng = random.Random(67)
+    pairs = 0
+    for graph, costs in cut_vertex_instances():
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        reference = {}
+        for source in vertices:
+            others = [v for v in vertices if v != source]
+            if others:
+                reach = _circuit_search(
+                    graph, costs, source, others, default_depth_cap(graph), 10**6
+                )
+                for target, length in reach.lengths.items():
+                    reference[source, target] = length
+        for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
+            result = df.circuit_distance(graph, costs, source, target)
+            assert result.length == reference[source, target]
+            assert df.validate_walk(graph, costs, result.walk).valid
+            pairs += 1
+        result = df.diameter(graph, costs, "circuit")
+        assert result.value == max(reference.values(), default=0)
+        if result.value:
+            assert reference[result.pair] == result.value
+        else:
+            assert result.pair is None
+    assert pairs >= 200
+
+
+def test_decomposed_edge_distances_match_geometric_skeleton():
+    rng = random.Random(71)
+    pairs = 0
+    for graph, costs in cut_vertex_instances():
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        neighbors: dict = {u: [] for u in vertices}
+        for i, u in enumerate(vertices):
+            for v in vertices[i + 1 :]:
+                if geometric_adjacency(graph, costs, u, v):
+                    neighbors[u].append(v)
+                    neighbors[v].append(u)
+        reference = {}
+        for source in vertices:
+            depth = {source: 0}
+            queue = [source]
+            for v in queue:
+                for w in neighbors[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+            for target, length in depth.items():
+                reference[source, target] = length
+        for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
+            result = df.combinatorial_distance(graph, costs, source, target)
+            assert result.length == reference[source, target]
+            assert df.validate_walk(graph, costs, result.walk).valid
+            pairs += 1
+        result = df.diameter(graph, costs, "edge")
+        assert result.value == max(reference.values())
+        if result.value:
+            assert reference[result.pair] == result.value
+    assert pairs >= 200
+
+
+GK_NEAR = (0, 0, 0)
+GK_FAR = ("2/3", "4/3", 2)
+
+
+def gk_pair(k: int) -> tuple[df.Point, df.Point]:
+    return df.Point.of(0, *GK_NEAR * k), df.Point.of(0, *GK_FAR * k)
+
+
+def test_circuit_caps_bound_the_whole_query_on_gk2():
+    graph, costs = df.family_gk(2)
+    near, far = gk_pair(2)
+    assert df.circuit_distance(graph, costs, near, far, depth_cap=8).length == 8
+    with pytest.raises(df.DepthCapExceeded):
+        df.circuit_distance(graph, costs, near, far, depth_cap=7)
+    with pytest.raises(df.FrontierTooLarge):
+        df.circuit_distance(graph, costs, near, far, state_cap=3)
+    with pytest.raises(df.DepthCapExceeded):
+        df.diameter(graph, costs, "circuit", depth_cap=7)
+    with pytest.raises(df.FrontierTooLarge):
+        df.diameter(graph, costs, "circuit", state_cap=20)
+
+
+def test_gk3_circuit_distance():
+    graph, costs = df.family_gk(3)
+    near, far = gk_pair(3)
+    result = df.circuit_distance(graph, costs, near, far)
+    assert result.length == 12
+    assert df.validate_walk(graph, costs, result.walk).valid
