@@ -25,6 +25,7 @@ from .instances import (
     random_bipartite_costs,
 )
 from .model import (
+    DEFAULT_TREE_CAP,
     CostVector,
     Digraph,
     Point,
@@ -346,16 +347,28 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+def _cap(text: str) -> int:
+    """A cap argument: a nonnegative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_caps(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--cap", type=int, default=None, help="circuit search depth cap"
+        "--cap", type=_cap, default=None, help="circuit search depth cap"
     )
     parser.add_argument(
-        "--states", type=int, default=oracle.DEFAULT_STATE_CAP,
+        "--states", type=_cap, default=oracle.DEFAULT_STATE_CAP,
         help="circuit search state cap",
     )
     parser.add_argument(
-        "--tree-cap", type=int, default=10**6, help="spanning tree enumeration cap"
+        "--tree-cap", type=_cap, default=DEFAULT_TREE_CAP,
+        help="spanning tree enumeration cap",
     )
 
 

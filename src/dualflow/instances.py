@@ -39,8 +39,9 @@ def glue(
     keeps its part-local order.  Costs carry over unchanged.  Returns the
     glued instance plus one old-index -> new-index map per part.
 
-    Parallel edges that could meet at the fused node are merged by minimum
-    cost (they cannot arise from distinct parts, which stay edge-disjoint).
+    Each part has one attach node and every other node gets a fresh index,
+    so no two parts share an edge: the glued edges are the parts' edges in
+    order.
     """
     if not parts:
         raise ValidationError("need at least one part")
@@ -59,17 +60,10 @@ def glue(
         node_maps.append(tuple(mapping))
     edges: list[tuple[int, int]] = []
     costs_out: list[Fraction] = []
-    position: dict[tuple[int, int], int] = {}
     for (graph, costs, _), mapping in zip(parts, node_maps):
         for (tail, head), cost in zip(graph.edges, costs):
-            pair = (mapping[tail], mapping[head])
-            if pair in position:
-                k = position[pair]
-                costs_out[k] = min(costs_out[k], cost)
-            else:
-                position[pair] = len(edges)
-                edges.append(pair)
-                costs_out.append(cost)
+            edges.append((mapping[tail], mapping[head]))
+            costs_out.append(cost)
     glued = Digraph(next_index, tuple(edges))
     return glued, tuple(costs_out), tuple(node_maps)
 

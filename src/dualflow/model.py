@@ -139,11 +139,8 @@ class Block:
     edges: tuple[int, ...]
     lift: tuple[frozenset[int], ...]
 
-    def costs(self, costs: Sequence[Fraction]) -> Sequence[Fraction]:
-        """The block's edge costs; a block holding every edge is the whole
-        graph and gets the caller's costs unchanged."""
-        if len(self.edges) == len(costs):
-            return costs
+    def costs(self, costs: Sequence[Fraction]) -> CostVector:
+        """The block's edge costs, as a tuple that the caches can key on."""
         return tuple(costs[i] for i in self.edges)
 
     def local(self, point: Point) -> Point:
@@ -321,6 +318,9 @@ class Point:
 
     def __iter__(self):
         return iter(self.coords)
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(rational_str(c) for c in self.coords) + ")"
 
 
 def shift_point(point: Point, s_set: frozenset[int], delta: Fraction) -> Point:
@@ -517,7 +517,7 @@ def vertex_from_tree(
     point = Point(tuple(coords))
     if not is_feasible(graph, costs, point):
         raise InfeasibleTree(
-            f"tree point {tuple(map(rational_str, point))} violates an inequality"
+            f"tree point {point} violates an inequality"
         )
     return point
 

@@ -6,14 +6,20 @@ Every distance and diameter query is split at the cut vertices (see
 blocks' polyhedra, so the skeleton is the Cartesian product of the blocks'
 skeletons, and every circuit lies inside one block.  Each block is
 searched on its own and the lengths add.  Witness walks move one block at a
-time and are checked on the whole graph by :func:`walk_from_points`.  A
-2-connected graph is its own single block.  The depth and state caps bound
-the whole query, and the blocks share them; ``tree_cap`` applies per block.
+time: each of their points is joined from the blocks' local points by
+:func:`dualflow.model.join_points`, and the walk is checked on the whole
+graph by :func:`walk_from_points`.  A 2-connected graph is its own single
+block.  The depth and state caps bound the whole query, and the blocks
+share them; ``tree_cap`` applies per block.  Each query checks the cost
+vector's length on entry.
 
 Circuit-walk search runs on an integer-scaled copy of the instance (all
 coordinates are multiples of 1/L where L is the lcm of the cost
 denominators), which keeps the state space hashable and the arithmetic
-cheap without leaving exact arithmetic.
+cheap without leaving exact arithmetic.  Its directions and their blocking
+edges come from :mod:`dualflow.circuits`, so the search stops each step
+where :func:`dualflow.circuits.max_step` does; only the slack arithmetic
+runs on integers.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .circuits import (
-    PartitionCircuit,
     SignedStep,
+    _blocking_edges,
     _max_step,
     enumerate_partitions,
 )
@@ -39,6 +45,7 @@ from .errors import (
     NotApplicable,
     NotAVertex,
     UnboundedDirection,
+    ValidationError,
 )
 from .model import (
     Block,
@@ -49,6 +56,7 @@ from .model import (
     VertexSet,
     bfs_parents,
     blocks,
+    check_costs,
     component_count,
     enumerate_vertices,
     is_feasible,
@@ -81,14 +89,14 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
         raise IdenticalPoints("adjacency needs two distinct vertices")
     for point in (u, v):
         if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{tuple(point)} is not a vertex")
+            raise NotAVertex(f"{point} is not a vertex")
     common = tight_graph(graph, costs, u) & tight_graph(graph, costs, v)
     return component_count(graph.node_count, [graph.edges[i] for i in common]) == 2
 
 
 @dataclass(frozen=True)
 class CircuitNeighbor:
-    """One reachable point together with every signed step that lands on it."""
+    """One reachable point together with the signed step that lands on it."""
 
     point: Point
     steps: tuple[SignedStep, ...]
@@ -97,12 +105,13 @@ class CircuitNeighbor:
 def first_circuit_neighbors(
     graph: Digraph, costs: CostVector, point: Point
 ) -> tuple[CircuitNeighbor, ...]:
-    """All destinations of maximal circuit steps from the point, deduplicated
-    by destination; inapplicable and unbounded directions are dropped."""
+    """The destination of the maximal step along every applicable signed
+    circuit, in circuit order; inapplicable and unbounded directions are
+    dropped.  A destination fixes S, the sign and the step length, so no two
+    directions share one."""
     if not is_feasible(graph, costs, point):
         raise InfeasiblePoint("max_step requires a feasible start")
-    groups: dict[Point, list[SignedStep]] = {}
-    order: list[Point] = []
+    neighbors = []
     for circuit in enumerate_partitions(graph):
         for sign in (1, -1):
             try:
@@ -110,14 +119,8 @@ def first_circuit_neighbors(
             except (NotApplicable, UnboundedDirection):
                 continue
             destination = shift_point(point, circuit.s_set, sign * step.epsilon)
-            if destination not in groups:
-                groups[destination] = []
-                order.append(destination)
-            groups[destination].append(step)
-    return tuple(
-        CircuitNeighbor(destination, tuple(groups[destination]))
-        for destination in order
-    )
+            neighbors.append(CircuitNeighbor(destination, (step,)))
+    return tuple(neighbors)
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +132,19 @@ class _ScaledInstance:
     the cost denominators."""
 
     def __init__(self, graph: Digraph, costs: CostVector):
-        self.graph = graph
-        self.costs = costs
         self.scale = math.lcm(1, *(c.denominator for c in costs))
         self.int_costs = [int(c * self.scale) for c in costs]
         self.tails = [e[0] for e in graph.edges]
         self.heads = [e[1] for e in graph.edges]
-        # (circuit, sign, blocking edge list, member tuple) per direction
-        self.pairs: list[tuple[PartitionCircuit, int, tuple[int, ...], tuple[int, ...]]] = []
+        # (sign, blocking edges, members of S) per bounded signed circuit
+        self.directions: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         for circuit in enumerate_partitions(graph):
             members = tuple(sorted(circuit.s_set))
             for sign in (1, -1):
-                blocking = tuple(
-                    i
-                    for i in range(graph.edge_count)
-                    if (self.heads[i] in circuit.s_set) != (self.tails[i] in circuit.s_set)
-                    and (
-                        (sign > 0 and self.heads[i] in circuit.s_set)
-                        or (sign < 0 and self.tails[i] in circuit.s_set)
-                    )
-                )
+                blocking = tuple(_blocking_edges(graph, circuit, sign))
                 if blocking:
-                    self.pairs.append((circuit, sign, blocking, members))
-        self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]] = {}
+                    self.directions.append((sign, blocking, members))
+        self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def to_state(self, point: Point) -> tuple[int, ...]:
         state = tuple(int(c * self.scale) for c in point.coords)
@@ -163,15 +156,13 @@ class _ScaledInstance:
     def to_point(self, state: tuple[int, ...]) -> Point:
         return Point(tuple(Fraction(s, self.scale) for s in state))
 
-    def neighbors(
-        self, state: tuple[int, ...]
-    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(pair index, destination state) for every applicable direction."""
+    def neighbors(self, state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The destination state of every applicable direction."""
         cached = self._neighbor_cache.get(state)
         if cached is not None:
             return cached
         result = []
-        for pair_index, (circuit, sign, blocking, members) in enumerate(self.pairs):
+        for sign, blocking, members in self.directions:
             epsilon = None
             for i in blocking:
                 s = self.int_costs[i] - state[self.heads[i]] + state[self.tails[i]]
@@ -185,20 +176,10 @@ class _ScaledInstance:
             target = list(state)
             for v in members:
                 target[v] += delta
-            result.append((pair_index, tuple(target)))
+            result.append(tuple(target))
         packed = tuple(result)
         self._neighbor_cache[state] = packed
         return packed
-
-    def signed_step(self, state: tuple[int, ...], pair_index: int) -> SignedStep:
-        circuit, sign, blocking, _ = self.pairs[pair_index]
-        slacks = {
-            i: self.int_costs[i] - state[self.heads[i]] + state[self.tails[i]]
-            for i in blocking
-        }
-        epsilon = min(slacks.values())
-        entering = frozenset(i for i, s in slacks.items() if s == epsilon)
-        return SignedStep(circuit, sign, Fraction(epsilon, self.scale), entering)
 
 
 @lru_cache(maxsize=64)
@@ -242,18 +223,17 @@ def _chain(parents: dict, end):
 
 
 def _walk_through_blocks(
-    start: Point, parts: Sequence[Block], chains: Sequence[Sequence[Point]]
+    node_count: int, parts: Sequence[Block], chains: Sequence[Sequence[Point]]
 ) -> list[Point]:
-    """The whole graph's points of a walk from ``start`` that runs each
-    block's chain of local points in turn, moving one block at a time.  A
-    block step along S moves the union of the lifts of S's nodes."""
-    points = [start]
-    for block, chain in zip(parts, chains):
-        for before, after in zip(chain, chain[1:]):
-            moved = [x for x in range(1, len(before)) if before[x] != after[x]]
-            s_set = frozenset().union(*(block.lift[x] for x in moved))
-            delta = after[moved[0]] - before[moved[0]]
-            points.append(shift_point(points[-1], s_set, delta))
+    """The whole graph's points of a walk that runs each block's chain of
+    local points in turn, moving one block at a time: every other block
+    stays at the end of its chain if it came earlier, else at its start."""
+    current = [chain[0] for chain in chains]
+    points = [join_points(node_count, parts, current)]
+    for index, chain in enumerate(chains):
+        for local in chain[1:]:
+            current[index] = local
+            points.append(join_points(node_count, parts, current))
     return points
 
 
@@ -267,6 +247,7 @@ def combinatorial_distance(
     """Exact shortest edge-walk length.  The skeleton is the Cartesian
     product of the blocks' skeletons, so each block's skeleton is searched
     breadth-first and the lengths add; ``tree_cap`` applies per block."""
+    check_costs(graph, costs)
     for point in (source, target):
         if len(point) != graph.node_count:
             raise NotAVertex(f"{point} is not an enumerated vertex")
@@ -280,7 +261,7 @@ def combinatorial_distance(
         if dst not in parents:
             raise NotAVertex("target unreachable on the skeleton")
         chains.append([skeleton.vertex_set.vertices[i] for i in _chain(parents, dst)])
-    points = _walk_through_blocks(source, parts, chains)
+    points = _walk_through_blocks(graph.node_count, parts, chains)
     walk = walk_from_points(graph, costs, points, "edge")
     return DistanceResult(len(points) - 1, walk)
 
@@ -329,17 +310,17 @@ def _circuit_search(
     # a set filled one state at a time: its order picks the diameter's pair
     # among equally far targets
     wanted = {state for state in target_of}
-    found: dict[tuple[int, ...], None] = {}
+    found: dict[tuple[int, ...], int] = {}  # target state -> its depth
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     frontier = [start]
     depth = 0
     if start in wanted:
-        found[start] = None
+        found[start] = 0
     while frontier and len(found) < len(wanted) and depth < depth_cap:
         depth += 1
         next_frontier = []
         for state in frontier:
-            for _, target in scaled.neighbors(state):
+            for target in scaled.neighbors(state):
                 if target in parents:
                     continue
                 parents[target] = state
@@ -349,7 +330,7 @@ def _circuit_search(
                     )
                 next_frontier.append(target)
                 if target in wanted:
-                    found[target] = None
+                    found[target] = depth
         frontier = next_frontier
         if len(found) == len(wanted):
             break
@@ -359,7 +340,7 @@ def _circuit_search(
             raise DepthCapExceeded(
                 f"target not reached within depth {depth_cap}"
             )
-        lengths[target_of[state]] = len(_chain(parents, state)) - 1
+        lengths[target_of[state]] = found[state]
     return _Reach(scaled, parents, lengths)
 
 
@@ -378,8 +359,8 @@ def circuit_distance(
     search gets the depth and the states that the earlier blocks left.
     """
     for point in (source, target):
-        if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{tuple(point)} is not a vertex")
+        if not is_vertex(graph, costs, point):  # checks the costs too
+            raise NotAVertex(f"{point} is not a vertex")
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
     parts = blocks(graph)
@@ -393,7 +374,7 @@ def circuit_distance(
         depth_cap -= reach.lengths[goal]
         state_cap -= len(reach.parents)
         chains.append(reach.chain(goal))
-    points = _walk_through_blocks(source, parts, chains)
+    points = _walk_through_blocks(graph.node_count, parts, chains)
     walk = walk_from_points(graph, costs, points, "circuit")
     return DistanceResult(len(points) - 1, walk)
 
@@ -462,7 +443,8 @@ def diameter(
     searches left.
     """
     if mode not in ("edge", "circuit"):
-        raise ValueError("mode must be 'edge' or 'circuit'")
+        raise ValidationError("mode must be 'edge' or 'circuit'")
+    check_costs(graph, costs)
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
     parts = blocks(graph)

@@ -19,7 +19,6 @@ from .circuits import (
     SignedStep,
     _max_step,
     is_valid_circuit,
-    max_step,
     step_between,
 )
 from .errors import (
@@ -395,7 +394,7 @@ def edge_walk(
     """
     for point in (source, target):
         if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{tuple(point)} is not a vertex")
+            raise NotAVertex(f"{point} is not a vertex")
     target_tight = tight_graph(graph, costs, target)
     if len(target_tight) != graph.node_count - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
@@ -462,7 +461,7 @@ def circuit_walk(
     """
     for point in (source, target):
         if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{tuple(point)} is not a vertex")
+            raise NotAVertex(f"{point} is not a vertex")
     if source == target:
         return Walk((source,), (), "circuit")
     target_tight = tight_graph(graph, costs, target)
@@ -540,7 +539,7 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
         if sign != step.sign or abs(delta) != step.epsilon:
             return WalkValidation(False, f"step {k} disagrees with its record")
         try:
-            maximal = max_step(graph, costs, before, step.circuit, step.sign)
+            maximal = _max_step(graph, costs, before, step.circuit, step.sign)
         except (NotApplicable, UnboundedDirection) as exc:
             return WalkValidation(False, f"step {k} is impossible: {exc}")
         if maximal.epsilon != step.epsilon:

@@ -240,6 +240,45 @@ def test_usage_error_exit_codes(example_file):
     assert invoke(["vertices", "/does/not/exist.graph"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flag, zero_error",
+    [
+        ("--cap", "depth-cap-exceeded"),
+        ("--states", "frontier-too-large"),
+        ("--tree-cap", "instance-too-large"),
+    ],
+)
+def test_negative_caps_are_usage_errors(example_file, flag, zero_error, capsys):
+    for command in (["vertices"], ["diameter", "--mode", "circuit"]):
+        code, text = invoke([command[0], example_file, *command[1:], flag, "-1"])
+        assert code == 2
+        assert text == ""
+        assert f"argument {flag}: must not be negative: -1" in capsys.readouterr().err
+    # zero is a cap like any other: the search runs and reports hitting it
+    code, text = invoke(
+        ["diameter", example_file, "--mode", "circuit", flag, "0", "--json"]
+    )
+    assert code == 1
+    assert json.loads(text)["error"]["code"] == zero_error
+
+
+def test_not_a_vertex_message_prints_rationals(example_file):
+    code, text = invoke(
+        [
+            "distance",
+            example_file,
+            "--mode",
+            "circuit",
+            "--source-point",
+            "0,0,0,0",
+            "--target-point",
+            "0,1/3,1/3,1/3",
+        ]
+    )
+    assert code == 1
+    assert "error [not-a-vertex]: (0, 1/3, 1/3, 1/3) is not a vertex\n" in text
+
+
 def test_directory_input_is_usage_error(tmp_path, capsys):
     code, text = invoke(["vertices", str(tmp_path)])
     assert code == 2

@@ -162,6 +162,7 @@ def test_first_circuit_neighbors_match_max_step(example, near_vertex):
     graph, costs = example
     neighbors = df.first_circuit_neighbors(graph, costs, near_vertex)
     for neighbor in neighbors:
+        assert len(neighbor.steps) == 1
         for step in neighbor.steps:
             rebuilt = df.max_step(
                 graph, costs, near_vertex, step.circuit, step.sign
@@ -194,17 +195,22 @@ def test_scaled_search_matches_public_neighbors():
         graph, costs = random_sub_tournament(rng, rng.randint(3, 5))
         scaled = _scaled_instance(graph, costs)
         for vertex in df.enumerate_vertices(graph, costs).vertices:
-            public = {
-                n.point: {(s.circuit.s_set, s.sign, s.epsilon) for s in n.steps}
+            public = [
+                (n.point, [(s.circuit.s_set, s.sign, s.epsilon) for s in n.steps])
                 for n in df.first_circuit_neighbors(graph, costs, vertex)
-            }
+            ]
             state = scaled.to_state(vertex)
-            fast: dict[df.Point, set] = {}
-            for pair_index, target in scaled.neighbors(state):
-                step = scaled.signed_step(state, pair_index)
-                fast.setdefault(scaled.to_point(target), set()).add(
-                    (step.circuit.s_set, step.sign, step.epsilon)
-                )
+            fast = []
+            for target in scaled.neighbors(state):
+                # the destination alone gives S, the sign and the step length
+                moved = frozenset(v for v in range(len(state)) if target[v] != state[v])
+                delta = {target[v] - state[v] for v in moved}
+                assert len(delta) == 1
+                delta = delta.pop()
+                fast.append((
+                    scaled.to_point(target),
+                    [(moved, 1 if delta > 0 else -1, Fraction(abs(delta), scaled.scale))],
+                ))
             assert fast == public
     off_grid = Fraction(1, scaled.scale + 1)
     with pytest.raises(df.InternalInvariant):
@@ -322,6 +328,48 @@ def test_distance_order_and_bounds_random():
                     assert circ.length <= forward.length
                     assert circ.length <= n * (n - 1) // 2
                     assert df.validate_walk(graph, costs, circ.walk).valid
+
+
+# ---------------------------------------------------------------------------
+# entry checks
+
+
+@pytest.mark.parametrize("count", [8, 10])
+def test_oracles_check_the_cost_count(example, near_vertex, far_vertex, count):
+    graph, costs = example
+    wrong = (costs + costs)[:count]
+    with pytest.raises(df.DimensionMismatch):
+        df.combinatorial_distance(graph, wrong, near_vertex, far_vertex)
+    with pytest.raises(df.DimensionMismatch):
+        df.circuit_distance(graph, wrong, near_vertex, far_vertex)
+    for mode in ("edge", "circuit"):
+        with pytest.raises(df.DimensionMismatch):
+            df.diameter(graph, wrong, mode)
+
+
+def test_oracles_accept_cost_lists(near_vertex, far_vertex):
+    for graph, costs in (df.example_graph(), df.family_gk(2)):
+        near = df.Point.of(*near_vertex, *[0] * (graph.node_count - 4))
+        far = df.Point.of(*far_vertex, *[0] * (graph.node_count - 4))
+        as_list = list(costs)
+        for oracle in (df.combinatorial_distance, df.circuit_distance):
+            assert oracle(graph, as_list, near, far) == oracle(graph, costs, near, far)
+        for mode in ("edge", "circuit"):
+            assert df.diameter(graph, as_list, mode) == df.diameter(graph, costs, mode)
+
+
+def test_diameter_rejects_unknown_mode(example):
+    graph, costs = example
+    with pytest.raises(df.ValidationError, match="mode must be 'edge' or 'circuit'"):
+        df.diameter(graph, costs, "vertex")
+
+
+def test_point_messages_print_rationals(example, near_vertex):
+    graph, costs = example
+    assert str(df.Point.of(0, "2/3", "4/3", 2)) == "(0, 2/3, 4/3, 2)"
+    with pytest.raises(df.NotAVertex) as caught:
+        df.combinatorial_distance(graph, costs, near_vertex, df.Point.of(0, "1/2", 0, 0))
+    assert str(caught.value) == "(0, 1/2, 0, 0) is not an enumerated vertex"
 
 
 # ---------------------------------------------------------------------------
