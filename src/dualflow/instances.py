@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .model import ANCHOR, CostVector, Digraph, cost_vector, rational
+from .model import ANCHOR, CostVector, Digraph, check_costs, cost_vector, rational
 
 
 def example_graph() -> tuple[Digraph, CostVector]:
@@ -36,8 +36,10 @@ def glue(
     """Fuse several graphs at one chosen node each.
 
     The attach nodes collapse into the new anchor (node 0); every other node
-    keeps its part-local order.  Costs carry over unchanged.  Returns the
-    glued instance plus one old-index -> new-index map per part.
+    keeps its part-local order.  Costs carry over unchanged; a part whose
+    cost count differs from its edge count raises
+    :class:`~dualflow.errors.DimensionMismatch`.  Returns the glued
+    instance plus one old-index -> new-index map per part.
 
     Each part has one attach node and every other node gets a fresh index,
     so no two parts share an edge: the glued edges are the parts' edges in
@@ -48,6 +50,7 @@ def glue(
     node_maps: list[tuple[int, ...]] = []
     next_index = 1
     for graph, costs, attach in parts:
+        check_costs(graph, costs)
         if not (0 <= attach < graph.node_count):
             raise ValidationError(f"attach node {attach} out of range")
         mapping = []

@@ -19,7 +19,8 @@ denominators), which keeps the state space hashable and the arithmetic
 cheap without leaving exact arithmetic.  Its directions and their blocking
 edges come from :mod:`dualflow.circuits`, so the search stops each step
 where :func:`dualflow.circuits.max_step` does; only the slack arithmetic
-runs on integers.
+runs on integers.  The search tests the layer that holds its last targets
+against them instead of generating it (see :func:`_circuit_search`).
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ class _ScaledInstance:
                 blocking = tuple(_blocking_edges(graph, circuit, sign))
                 if blocking:
                     self.directions.append((sign, blocking, members))
+        self._blocking_of = {
+            (members, sign): blocking for sign, blocking, members in self.directions
+        }
         self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def to_state(self, point: Point) -> tuple[int, ...]:
@@ -180,6 +184,28 @@ class _ScaledInstance:
         packed = tuple(result)
         self._neighbor_cache[state] = packed
         return packed
+
+    def one_step(self, state: tuple[int, ...], target: tuple[int, ...]) -> bool:
+        """Whether ``target`` is in ``neighbors(state)``, decided from the
+        difference alone: it must be δ on the members of one direction of
+        sign(δ), whose smallest blocking slack is exactly |δ|."""
+        members = tuple(v for v, (a, b) in enumerate(zip(state, target)) if a != b)
+        if not members:
+            return False
+        delta = target[members[0]] - state[members[0]]
+        if any(target[v] - state[v] != delta for v in members):
+            return False
+        blocking = self._blocking_of.get((members, 1 if delta > 0 else -1))
+        if blocking is None:
+            return False
+        step = abs(delta)
+        tight = False
+        for i in blocking:
+            s = self.int_costs[i] - state[self.heads[i]] + state[self.tails[i]]
+            if s < step:
+                return False
+            tight = tight or s == step
+        return tight
 
 
 @lru_cache(maxsize=64)
@@ -289,6 +315,26 @@ class _Reach:
         return [self.scaled.to_point(state) for state in states]
 
 
+def _goal_test(
+    scaled: _ScaledInstance,
+    frontier: Sequence[tuple[int, ...]],
+    targets: Sequence[tuple[int, ...]],
+) -> dict[tuple[int, ...], tuple[int, ...]] | None:
+    """Each target's first frontier state one step from it, or None when
+    some target is not one step from any."""
+    remaining = list(targets)
+    hits = {}
+    for state in frontier:
+        hit = [target for target in remaining if scaled.one_step(state, target)]
+        if hit:
+            for target in hit:
+                hits[target] = state
+            remaining = [target for target in remaining if target not in hits]
+            if not remaining:
+                return hits
+    return None
+
+
 def _circuit_search(
     graph: Digraph,
     costs: CostVector,
@@ -300,8 +346,13 @@ def _circuit_search(
     """BFS over exact points of one instance, not split into blocks; the
     oracles call it once per block.
 
-    Stops as soon as every target is found.  Raises
-    :class:`FrontierTooLarge` past ``state_cap`` states and
+    Stops as soon as every target is found.  While fewer targets remain
+    than the instance has directions, testing a state against them costs
+    less than expanding it, so each layer's frontier is first tested in
+    order: if every remaining target is one step from it, each takes the
+    first frontier state that hits it as its parent, the one full
+    expansion would record, and the last layer is never generated.
+    Raises :class:`FrontierTooLarge` past ``state_cap`` stored states and
     :class:`DepthCapExceeded` when some target stays unreached.
     """
     scaled = _scaled_instance(graph, costs)
@@ -318,6 +369,18 @@ def _circuit_search(
         found[start] = 0
     while frontier and len(found) < len(wanted) and depth < depth_cap:
         depth += 1
+        missing = [state for state in wanted if state not in found]
+        if len(missing) < len(scaled.directions):
+            hits = _goal_test(scaled, frontier, missing)
+            if hits is not None:
+                for target, state in hits.items():
+                    parents[target] = state
+                    if len(parents) > state_cap:
+                        raise FrontierTooLarge(
+                            f"more than {state_cap} states explored"
+                        )
+                    found[target] = depth
+                break
         next_frontier = []
         for state in frontier:
             for target in scaled.neighbors(state):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,27 @@ def test_depth_cap_domain_error(example_file):
     )
     assert code == 1
     assert json.loads(text)["error"]["code"] == "depth-cap-exceeded"
+
+
+def test_circuit_caps_hold_without_asserts(example_file):
+    """Under ``python -O`` the state cap still stops the circuit search and
+    the goal-tested search still answers: neither rests on ``assert``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    command = [
+        sys.executable, "-O", "-m", "dualflow.cli", "distance", example_file,
+        "--mode", "circuit", "--source-point", "0,0,0,0",
+        "--target-point", "0,2/3,4/3,2", "--json",
+    ]
+    capped = subprocess.run(
+        command + ["--states", "3"], capture_output=True, text=True, env=env
+    )
+    assert capped.returncode == 1
+    assert json.loads(capped.stdout)["error"]["code"] == "frontier-too-large"
+    answered = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert answered.returncode == 0
+    assert json.loads(answered.stdout)["result"]["distance"] == 4
 
 
 def test_usage_error_exit_codes(example_file):

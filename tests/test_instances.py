@@ -62,6 +62,15 @@ def test_glue_two_example_copies(example):
     assert maps[0][0] == maps[1][0] == 0
 
 
+@pytest.mark.parametrize("count", [8, 10])
+def test_glue_checks_each_parts_cost_count(example, count):
+    graph, costs = example
+    wrong = (costs + costs)[:count]
+    for parts in ([(graph, wrong, 0)], [(graph, costs, 0), (graph, wrong, 0)]):
+        with pytest.raises(df.DimensionMismatch, match=f"{count} costs for 9 edges"):
+            df.glue(parts)
+
+
 def test_glue_identity(example):
     graph, costs = example
     glued, glued_costs, _ = df.glue([(graph, costs, 0)])

@@ -217,6 +217,72 @@ def test_scaled_search_matches_public_neighbors():
         scaled.to_state(df.Point.of(0, off_grid, *[0] * (graph.node_count - 2)))
 
 
+def reference_search(graph, costs, source, targets):
+    """Plain breadth-first search over the public neighbours that expands
+    every layer in full: each target's depth and its chain of points, along
+    the first parent recorded."""
+    parents = {source: None}
+    depth = {source: 0}
+    frontier = [source]
+    while frontier and not all(t in depth for t in targets):
+        next_frontier = []
+        for point in frontier:
+            for neighbor in df.first_circuit_neighbors(graph, costs, point):
+                if neighbor.point not in parents:
+                    parents[neighbor.point] = point
+                    depth[neighbor.point] = depth[point] + 1
+                    next_frontier.append(neighbor.point)
+        frontier = next_frontier
+    chains = {}
+    for target in targets:
+        chain = [target]
+        while parents[chain[-1]] is not None:
+            chain.append(parents[chain[-1]])
+        chains[target] = chain[::-1]
+    return {t: depth[t] for t in targets}, chains, parents
+
+
+def test_goal_tested_search_matches_full_expansion():
+    """The search that tests its last layer instead of generating it finds
+    the lengths and chains of a search that generates every layer, for one
+    target and for all targets; its one-step test accepts exactly the
+    neighbours among the start, the neighbours and the states two steps
+    away."""
+    from dualflow.oracle import _scaled_instance
+
+    rng = random.Random(101)
+    degenerate = 0
+    for index in range(16):
+        integer_costs = index % 2 == 1
+        graph, costs = random_sub_tournament(
+            rng, 3 + index % 4, integer_costs=integer_costs
+        )
+        degenerate += not df.degeneracy_report(graph, costs).nondegenerate
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        source = rng.choice(vertices)
+        others = [v for v in vertices if v != source]
+        if not others:
+            continue
+        single = [[t] for t in rng.sample(others, min(3, len(others)))]
+        for targets in single + [others]:
+            lengths, chains, parents = reference_search(graph, costs, source, targets)
+            reach = _circuit_search(
+                graph, costs, source, targets, default_depth_cap(graph), 10**6
+            )
+            assert reach.lengths == lengths
+            for target in targets:
+                assert reach.chain(target) == chains[target]
+        scaled = _scaled_instance(graph, costs)
+        for point in rng.sample(sorted(parents, key=str), min(6, len(parents))):
+            state = scaled.to_state(point)
+            near = set(scaled.neighbors(state))
+            two_away = {s for n in near for s in scaled.neighbors(n)} - near - {state}
+            assert not scaled.one_step(state, state)
+            assert all(scaled.one_step(state, n) for n in near)
+            assert not any(scaled.one_step(state, s) for s in two_away)
+    assert degenerate >= 2
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -543,3 +609,32 @@ def test_gk3_circuit_distance():
     result = df.circuit_distance(graph, costs, near, far)
     assert result.length == 12
     assert df.validate_walk(graph, costs, result.walk).valid
+
+
+def test_goal_test_stores_a_tenth_of_the_bipartite_3x4_search():
+    """A distance-4 query on bipartite 3x4 stored 229,243 states when the
+    search generated its last layer; testing that layer instead stores
+    fewer than a tenth of them.  The state cap counts the target found by
+    the test too."""
+    graph, costs = df.complete_bipartite(3, 4, df.random_bipartite_costs(3, 4, 7))
+    vertices = df.enumerate_vertices(graph, costs).vertices
+    source, target = vertices[0], vertices[-1]
+    depth_cap = default_depth_cap(graph)
+    reach = _circuit_search(graph, costs, source, [target], depth_cap, 10**6)
+    assert reach.lengths[target] == 4
+    stored = len(reach.parents)
+    assert stored < 22_924
+    capped = _circuit_search(graph, costs, source, [target], depth_cap, stored)
+    assert capped.lengths == {target: 4}
+    with pytest.raises(df.FrontierTooLarge):
+        _circuit_search(graph, costs, source, [target], depth_cap, stored - 1)
+
+
+def test_bipartite_4x4_circuit_distance_within_default_caps():
+    m = n = 4
+    graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+    assert df.degeneracy_report(graph, costs).nondegenerate
+    vertices = df.enumerate_vertices(graph, costs).vertices
+    result = df.circuit_distance(graph, costs, vertices[0], vertices[-1])
+    assert df.validate_walk(graph, costs, result.walk).valid
+    assert result.length <= m + n - 2
