@@ -180,6 +180,19 @@ def step_between(
     The difference must be a positive multiple of a circuit's 0/1 vector and
     the step must be maximal at the source; raises ValidationError otherwise.
     """
+    return _step_between(graph, costs, source, target, 1)
+
+
+def _step_between(
+    graph: Digraph,
+    costs: Sequence[Fraction],
+    source: Point,
+    target: Point,
+    scale: int,
+) -> SignedStep:
+    """:func:`step_between` on costs and points ``scale`` times the
+    instance's (a :class:`dualflow.model.Grid` view); the step is in the same
+    units, and the error message prints the instance's rationals."""
     if len(source) != len(target):
         raise ValidationError("points have different lengths")
     moved = {
@@ -201,7 +214,6 @@ def step_between(
     sign = 1 if delta > 0 else -1
     step = _max_step(graph, costs, source, PartitionCircuit(s_set), sign)
     if step.epsilon != abs(delta):
-        raise ValidationError(
-            f"step is not maximal: moved {abs(delta)}, maximal {step.epsilon}"
-        )
+        length, maximal = Fraction(abs(delta), scale), Fraction(step.epsilon, scale)
+        raise ValidationError(f"step is not maximal: moved {length}, maximal {maximal}")
     return step

@@ -1,8 +1,10 @@
 """Core model: directed graphs with exact rational costs and the polyhedron
 ``{u : u_head - u_tail <= cost for every edge, u[0] = 0}``.
 
-All numeric data is :class:`fractions.Fraction`; node 0 is always the anchor
-whose coordinate is pinned to zero.
+All numeric data at the API is :class:`fractions.Fraction`; node 0 is always
+the anchor whose coordinate is pinned to zero.  :class:`Grid` is the one
+integer view of an instance, on which the builders and the circuit oracle
+run; the feasibility, tightness and step functions work on either view.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     InfeasiblePoint,
     InfeasibleTree,
     InstanceTooLarge,
+    InternalInvariant,
     NotAVertex,
     ValidationError,
 )
@@ -41,6 +44,10 @@ def rational(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if not isinstance(value, str):
+        raise FormatError(
+            f"bad rational {value!r}: expected an int, a 'P/Q' string or a Fraction"
+        )
     text = value.strip()
     if "/" in text:
         head, _, tail = text.partition("/")
@@ -328,6 +335,40 @@ def shift_point(point: Point, s_set: frozenset[int], delta: Fraction) -> Point:
     return Point(
         tuple(c + delta if v in s_set else c for v, c in enumerate(point.coords))
     )
+
+
+class Grid:
+    """The integer view of an instance: its costs, and points, times
+    ``scale``, the lcm of the cost denominators.
+
+    A vertex solves tight edges, so its coordinates are sums of costs, and a
+    maximal circuit step moves by a slack; every point a walk from a vertex
+    reaches therefore lies on ``(1/scale)·ℤ^V``, and the view is exact.
+    ``points`` widens the grid to hold the given points as well.
+    """
+
+    def __init__(self, costs: Sequence[Fraction], points: Iterable[Point] = ()):
+        denominators = [c.denominator for c in costs]
+        denominators += [c.denominator for point in points for c in point]
+        self.scale = math.lcm(1, *denominators)
+        self.costs = tuple(c.numerator * (self.scale // c.denominator) for c in costs)
+
+    def to_state(self, point: Point) -> tuple[int, ...]:
+        """The point's coordinates times ``scale``."""
+        state = []
+        for c in point:
+            factor, rest = divmod(self.scale, c.denominator)
+            if rest:
+                raise InternalInvariant("point is not on the instance's rational grid")
+            state.append(c.numerator * factor)
+        return tuple(state)
+
+    def to_rational(self, value: int) -> Fraction:
+        return Fraction(value, self.scale)
+
+    def to_point(self, state: Iterable[int]) -> Point:
+        """The point whose coordinates times ``scale`` are ``state``."""
+        return Point(tuple(map(self.to_rational, state)))
 
 
 SpanningTree = frozenset[int]

@@ -13,10 +13,10 @@ block.  The depth and state caps bound the whole query, and the blocks
 share them; ``tree_cap`` applies per block.  Each query checks the cost
 vector's length on entry.
 
-Circuit-walk search runs on an integer-scaled copy of the instance (all
-coordinates are multiples of 1/L where L is the lcm of the cost
-denominators), which keeps the state space hashable and the arithmetic
-cheap without leaving exact arithmetic.  Its directions and their blocking
+Circuit-walk search runs on the instance's integer view,
+:class:`dualflow.model.Grid` (all coordinates are multiples of 1/L where L
+is the lcm of the cost denominators), which keeps the state space hashable
+and the arithmetic cheap without leaving exact arithmetic.  Its directions and their blocking
 edges come from :mod:`dualflow.circuits`, so the search stops each step
 where :func:`dualflow.circuits.max_step` does; only the slack arithmetic
 runs on integers.  The search tests the layer that holds its last targets
@@ -25,9 +25,7 @@ against them instead of generating it (see :func:`_circuit_search`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -42,7 +40,6 @@ from .errors import (
     FrontierTooLarge,
     IdenticalPoints,
     InfeasiblePoint,
-    InternalInvariant,
     NotApplicable,
     NotAVertex,
     UnboundedDirection,
@@ -53,6 +50,7 @@ from .model import (
     CostVector,
     DEFAULT_TREE_CAP,
     Digraph,
+    Grid,
     Point,
     VertexSet,
     bfs_parents,
@@ -128,13 +126,12 @@ def first_circuit_neighbors(
 # scaled instance
 
 
-class _ScaledInstance:
-    """Integer view of an instance: coordinates and costs times the lcm of
-    the cost denominators."""
+class _ScaledInstance(Grid):
+    """The instance's :class:`Grid` with its signed circuits, for the search
+    over integer states."""
 
     def __init__(self, graph: Digraph, costs: CostVector):
-        self.scale = math.lcm(1, *(c.denominator for c in costs))
-        self.int_costs = [int(c * self.scale) for c in costs]
+        super().__init__(costs)
         self.tails = [e[0] for e in graph.edges]
         self.heads = [e[1] for e in graph.edges]
         # (sign, blocking edges, members of S) per bounded signed circuit
@@ -150,16 +147,6 @@ class _ScaledInstance:
         }
         self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    def to_state(self, point: Point) -> tuple[int, ...]:
-        state = tuple(int(c * self.scale) for c in point.coords)
-        if any(Fraction(s, self.scale) != c for s, c in zip(state, point.coords)):
-            # vertices are sums of costs, so every reachable point is on the grid
-            raise InternalInvariant("point is not on the instance's rational grid")
-        return state
-
-    def to_point(self, state: tuple[int, ...]) -> Point:
-        return Point(tuple(Fraction(s, self.scale) for s in state))
-
     def neighbors(self, state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The destination state of every applicable direction."""
         cached = self._neighbor_cache.get(state)
@@ -169,7 +156,7 @@ class _ScaledInstance:
         for sign, blocking, members in self.directions:
             epsilon = None
             for i in blocking:
-                s = self.int_costs[i] - state[self.heads[i]] + state[self.tails[i]]
+                s = self.costs[i] - state[self.heads[i]] + state[self.tails[i]]
                 if epsilon is None or s < epsilon:
                     epsilon = s
                     if s == 0:
@@ -201,7 +188,7 @@ class _ScaledInstance:
         step = abs(delta)
         tight = False
         for i in blocking:
-            s = self.int_costs[i] - state[self.heads[i]] + state[self.tails[i]]
+            s = self.costs[i] - state[self.heads[i]] + state[self.tails[i]]
             if s < step:
                 return False
             tight = tight or s == step

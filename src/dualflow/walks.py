@@ -5,12 +5,20 @@ target's tight set, one target edge at a time: pivot (or circuit-step) until
 the edge becomes tight, contract it, and continue on the smaller instance.
 Contraction pins the edge so later steps cannot lose it; finished walks are
 stitched back to the original coordinates.
+
+The builders check their endpoints in the instance's rationals, then run on
+its integer view (:class:`dualflow.model.Grid`): pivots, insertion
+partitions, contraction and lifting all work on scaled integers.  Every
+built walk leaves through :func:`walk_from_points`, which re-derives each
+step on the original graph in that view and converts the points and step
+lengths back to :class:`~fractions.Fraction` once.  :func:`validate_walk`
+stays in rationals, as the independent check.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,8 +26,8 @@ from .circuits import (
     PartitionCircuit,
     SignedStep,
     _max_step,
+    _step_between,
     is_valid_circuit,
-    step_between,
 )
 from .errors import (
     DegenerateInstance,
@@ -42,6 +50,7 @@ from .model import (
     ANCHOR,
     CostVector,
     Digraph,
+    Grid,
     Point,
     _find,
     bfs_parents,
@@ -62,7 +71,9 @@ from .model import (
 @dataclass(frozen=True)
 class ContractionRecord:
     """Everything needed to move points between an instance and the instance
-    obtained by merging one tight edge's head into its tail."""
+    obtained by merging one tight edge's head into its tail.  Its numbers are
+    in the units of the costs it was built from: rationals, or a
+    :class:`~dualflow.model.Grid`'s integers."""
 
     original_graph: Digraph
     original_costs: CostVector
@@ -148,7 +159,7 @@ def _contract(
                 new_index[v] = kept if kept < removed else kept - 1
             else:
                 new_index[v] = v if v < removed else v - 1
-        shift = Fraction(0)
+        shift = 0
     node_map = tuple(new_index[v] for v in range(graph.node_count))
 
     new_edges: list[tuple[int, int]] = []
@@ -335,12 +346,20 @@ def _insertion_partition(
 def walk_from_points(
     graph: Digraph, costs: CostVector, points: Sequence[Point], mode: str
 ) -> Walk:
-    """Assemble a walk by recovering the signed step of each move."""
-    steps = tuple(
-        step_between(graph, costs, points[i], points[i + 1])
-        for i in range(len(points) - 1)
-    )
-    return Walk(tuple(points), steps, mode)
+    """Assemble a walk by recovering the signed step of each move, on a grid
+    fine enough for the points as well as the costs."""
+    grid = Grid(costs, points)
+    return _grid_walk(graph, grid, [Point(grid.to_state(p)) for p in points], mode)
+
+
+def _grid_walk(graph: Digraph, grid: Grid, points: Sequence[Point], mode: str) -> Walk:
+    """:func:`walk_from_points` for points on the grid's integer view; the
+    walk comes back in rationals."""
+    steps = []
+    for before, after in zip(points, points[1:]):
+        step = _step_between(graph, grid.costs, before, after, grid.scale)
+        steps.append(replace(step, epsilon=grid.to_rational(step.epsilon)))
+    return Walk(tuple(grid.to_point(p) for p in points), tuple(steps), mode)
 
 
 def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
@@ -395,15 +414,16 @@ def edge_walk(
     for point in (source, target):
         if not is_vertex(graph, costs, point):
             raise NotAVertex(f"{point} is not a vertex")
-    target_tight = tight_graph(graph, costs, target)
+    grid = Grid(costs)
+    current, goal = (Point(grid.to_state(point)) for point in (source, target))
+    target_tight = tight_graph(graph, grid.costs, goal)
     if len(target_tight) != graph.node_count - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
     if source == target:
         return Walk((source,), (), "edge")
-    stack = _ContractionStack(graph, costs)
-    current = source
+    stack = _ContractionStack(graph, grid.costs)
     remaining = sorted(target_tight)
-    points = [source]
+    points = [current]
     while remaining:
         rs = remaining[0]
         goal_tail, goal_head = stack.graph.edges[rs]
@@ -445,9 +465,9 @@ def edge_walk(
             if seen_pivots > bound:
                 raise InternalInvariant("pivot phase exceeded its guaranteed bound")
         current, remaining = stack.contract(current, remaining)
-    if points[-1] != target:
+    if points[-1] != goal:
         raise InternalInvariant("edge walk did not terminate at the target")
-    return walk_from_points(graph, costs, points, "edge")
+    return _grid_walk(graph, grid, points, "edge")
 
 
 def circuit_walk(
@@ -464,11 +484,11 @@ def circuit_walk(
             raise NotAVertex(f"{point} is not a vertex")
     if source == target:
         return Walk((source,), (), "circuit")
-    target_tight = tight_graph(graph, costs, target)
-    stack = _ContractionStack(graph, costs)
-    current = source
-    remaining = _lexmin_tree(graph, target_tight)
-    points = [source]
+    grid = Grid(costs)
+    current, goal = (Point(grid.to_state(point)) for point in (source, target))
+    stack = _ContractionStack(graph, grid.costs)
+    remaining = _lexmin_tree(graph, tight_graph(graph, grid.costs, goal))
+    points = [current]
     while remaining:
         rs = remaining[0]
         reach = None
@@ -488,9 +508,9 @@ def circuit_walk(
             if steps_in_phase > stack.graph.node_count - 1:
                 raise InternalInvariant("insertion phase exceeded its guaranteed bound")
         current, remaining = stack.contract(current, remaining)
-    if points[-1] != target:
+    if points[-1] != goal:
         raise InternalInvariant("circuit walk did not terminate at the target")
-    return walk_from_points(graph, costs, points, "circuit")
+    return _grid_walk(graph, grid, points, "circuit")
 
 
 # ---------------------------------------------------------------------------
@@ -572,5 +592,7 @@ def perturb_costs(
 ) -> CostVector:
     """Add independent random rationals with the given denominator; breaks
     ties so that degenerate instances become nondegenerate almost surely."""
+    if denominator < 1:
+        raise ValidationError(f"denominator {denominator} is not a positive integer")
     rng = random.Random(seed)
     return tuple(c + Fraction(rng.randrange(denominator), denominator) for c in costs)

@@ -4,12 +4,23 @@ leaves, and complete bipartite graphs."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualflow as df
+from conftest import random_sub_tournament
+from dualflow.model import DEFAULT_TREE_CAP, _tree_vertex_set
+from dualflow.oracle import (
+    DEFAULT_STATE_CAP,
+    _circuit_diameter,
+    _edge_diameter,
+    default_depth_cap,
+)
 
 
 TRIANGLE = (df.Digraph(3, ((0, 1), (1, 2), (2, 0))), df.cost_vector([1, 1, 1]))
@@ -123,6 +134,38 @@ def test_glue_additivity_edge_mode(example):
         + df.diameter(tri, tric, "edge").value
     )
     assert df.diameter(glued, glued_costs, "edge").value == total
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    sizes=st.lists(st.integers(2, 4), min_size=2, max_size=3),
+    integer_costs=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_glue_is_a_product(seed, sizes, integer_costs):
+    """Glued at random nodes, small parts' vertex counts multiply and both
+    diameters add; the glued graph's own vertices and diameters, searched
+    whole without the block split, agree."""
+    rng = random.Random(seed)
+    parts = [
+        random_sub_tournament(rng, size, integer_costs=integer_costs) for size in sizes
+    ]
+    glued, costs, _ = df.glue(
+        [(graph, part_costs, rng.randrange(graph.node_count)) for graph, part_costs in parts]
+    )
+    count = math.prod(len(df.enumerate_vertices(g, c).vertices) for g, c in parts)
+    assert len(df.enumerate_vertices(glued, costs).vertices) == count
+    assert len(_tree_vertex_set(glued, costs, DEFAULT_TREE_CAP).vertices) == count
+    depth_cap = default_depth_cap(glued)
+    whole = {
+        "edge": _edge_diameter(glued, costs, DEFAULT_TREE_CAP)[0],
+        "circuit": _circuit_diameter(
+            glued, costs, DEFAULT_TREE_CAP, depth_cap, DEFAULT_STATE_CAP
+        )[0],
+    }
+    for mode in ("edge", "circuit"):
+        total = sum(df.diameter(g, c, mode).value for g, c in parts)
+        assert df.diameter(glued, costs, mode).value == total == whole[mode]
 
 
 # ---------------------------------------------------------------------------

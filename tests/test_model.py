@@ -80,6 +80,17 @@ def test_parse_malformed_lines(text):
         df.parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "parse",
+    [df.rational, lambda value: df.Point.of(0, value), lambda value: df.cost_vector([value])],
+    ids=["rational", "Point.of", "cost_vector"],
+)
+@pytest.mark.parametrize("value", [0.5, None, b"1/2", [1]])
+def test_rational_rejects_other_types(parse, value):
+    with pytest.raises(df.FormatError, match="bad rational"):
+        parse(value)
+
+
 def test_serialize_round_trip_preserves_order(example):
     graph, costs = example
     text = df.serialize_graph(graph, costs)

@@ -8,9 +8,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualflow as df
 from conftest import random_sub_tournament
+from dualflow.model import Grid
+from dualflow.walks import _contract
 
 WALK_POINTS = [
     (0, 0, 0, 0),
@@ -122,6 +126,40 @@ def test_lift_project_round_trip():
             assert df.is_feasible(graph, costs, lifted)
             assert edge in df.tight_graph(graph, costs, lifted)
             assert df.project_point(record, lifted) == vertex
+
+
+@given(
+    seed=st.integers(0, 10**6), size=st.integers(2, 5), integer_costs=st.booleans()
+)
+@settings(max_examples=60, deadline=None)
+def test_lift_project_property(seed, size, integer_costs):
+    """Over a random single-edge contraction, lifting then projecting a
+    contracted vertex, and projecting then lifting a vertex on the edge's
+    face, give the point back; the same contraction on the integer grid
+    lifts every vertex to the scaled rational lift."""
+    rng = random.Random(seed)
+    graph, costs = random_sub_tournament(rng, size, integer_costs=integer_costs)
+    edges = list(range(graph.edge_count))
+    rng.shuffle(edges)
+    for edge in edges:
+        try:
+            contracted, new_costs, record = df.contract_edge(graph, costs, edge)
+        except df.FaceEmpty:
+            continue
+        break
+    else:
+        raise AssertionError("no edge of a nonempty polyhedron is contractible")
+    grid = Grid(costs)
+    _, grid_costs, grid_record = _contract(graph, grid.costs, edge)
+    assert tuple(grid.to_rational(c) for c in grid_costs) == new_costs
+    for vertex in df.enumerate_vertices(contracted, new_costs).vertices:
+        lifted = df.lift_point(record, vertex)
+        assert df.project_point(record, lifted) == vertex
+        grid_lifted = df.lift_point(grid_record, df.Point(grid.to_state(vertex)))
+        assert grid.to_point(grid_lifted) == lifted
+    for vertex in df.enumerate_vertices(graph, costs).vertices:
+        if edge in df.tight_graph(graph, costs, vertex):
+            assert df.lift_point(record, df.project_point(record, vertex)) == vertex
 
 
 def test_face_bijection():
@@ -371,6 +409,95 @@ def test_edge_walk_succeeds_after_perturbation():
 
 
 # ---------------------------------------------------------------------------
+# the integer grid
+
+# near -> far on the example and on gk(2), as the rational builders walked them
+PINNED_WALKS = {
+    ("example", "circuit"): [
+        (0, 0, 0, 0), (0, 0, 0, "10/9"), (0, 0, "2/9", "4/3"), (0, "2/3", "8/9", 2),
+        (0, "2/3", "4/3", 2),
+    ],
+    ("example", "edge"): [
+        (0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 0, "10/9"), (0, 1, "8/9", 2),
+        (0, 1, "4/3", 2), (0, "2/3", "4/3", 2),
+    ],
+    ("gk2", "circuit"): [
+        (0, 0, 0, 0, 0, 0, 0), (0, 0, 0, "10/9", 0, 0, 0),
+        (0, 0, "2/9", "4/3", 0, 0, 0), (0, "2/3", "8/9", 2, 0, 0, 0),
+        (0, "2/3", "4/3", 2, 0, 0, 0), (0, "2/3", "4/3", 2, 0, 0, "10/9"),
+        (0, "2/3", "4/3", 2, 0, "2/9", "4/3"), (0, "2/3", "4/3", 2, "2/3", "8/9", 2),
+        (0, "2/3", "4/3", 2, "2/3", "4/3", 2),
+    ],
+    ("gk2", "edge"): [
+        (0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0), (0, 1, 0, "10/9", 0, 0, 0),
+        (0, 1, "8/9", 2, 0, 0, 0), (0, 1, "4/3", 2, 0, 0, 0),
+        (0, "2/3", "4/3", 2, 0, 0, 0), (0, "2/3", "4/3", 2, 1, 0, 1),
+        (0, "2/3", "4/3", 2, 1, 0, "10/9"), (0, "2/3", "4/3", 2, 1, "8/9", 2),
+        (0, "2/3", "4/3", 2, 1, "4/3", 2), (0, "2/3", "4/3", 2, "2/3", "4/3", 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_WALKS))
+def test_builders_walk_the_pinned_points(name, mode, near_vertex, far_vertex):
+    k = 1 if name == "example" else 2
+    graph, costs = df.family_gk(k)
+    source, target = (
+        df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
+    )
+    builder = df.circuit_walk if mode == "circuit" else df.edge_walk
+    walk = builder(graph, costs, source, target)
+    assert walk.points == tuple(df.Point.of(*p) for p in PINNED_WALKS[name, mode])
+    assert df.validate_walk(graph, costs, walk).valid
+
+
+def _all_rational(walk) -> bool:
+    coords = [c for point in walk.points for c in point]
+    epsilons = [step.epsilon for step in walk.steps]
+    return all(type(x) is Fraction for x in coords + epsilons)
+
+
+def test_builders_on_a_grid_past_2_to_the_40(example):
+    """Costs over co-prime denominators put the grid's scale past 2**40;
+    both builders' walks still validate in rationals, and are Fractions."""
+    graph, base = example
+    denominators = [7, 11, 13, 17, 10**9 + 7]
+    costs = tuple(
+        c + Fraction(i + 1, denominators[i % len(denominators)])
+        for i, c in enumerate(base)
+    )
+    assert Grid(costs).scale > 2**40
+    assert df.degeneracy_report(graph, costs).nondegenerate
+    vertices = df.enumerate_vertices(graph, costs).vertices
+    for source in vertices:
+        for target in vertices:
+            if source == target:
+                continue
+            for builder in (df.circuit_walk, df.edge_walk):
+                walk = builder(graph, costs, source, target)
+                check = df.validate_walk(graph, costs, walk)
+                assert check.valid, check.violation
+                assert _all_rational(walk)
+
+
+def test_walk_from_points_reports_rationals(example, near_vertex):
+    graph, costs = example
+    points = [near_vertex, df.Point.of(0, 0, 0, "1/3")]
+    with pytest.raises(df.ValidationError, match=r"moved 1/3, maximal 10/9$"):
+        df.walk_from_points(graph, costs, points, "circuit")
+
+
+def test_walk_from_points_off_the_cost_grid(example):
+    """Points need not lie on the costs' grid: the grid widens to hold them."""
+    graph, costs = example
+    points = [df.Point.of(0, 0, 0, "1/5"), df.Point.of(0, 0, 0, "10/9")]
+    walk = df.walk_from_points(graph, costs, points, "circuit")
+    assert walk.points == tuple(points)
+    assert walk.steps[0].epsilon == Fraction(41, 45)
+    assert _all_rational(walk)
+
+
+# ---------------------------------------------------------------------------
 # validate_walk
 
 
@@ -444,6 +571,13 @@ def test_perturb_costs_shape_and_size(example):
     for before, after in zip(costs, jiggled):
         assert 0 <= after - before < 1
         assert (after - before).denominator <= 10**9
+
+
+@pytest.mark.parametrize("denominator", [0, -3])
+def test_perturb_costs_rejects_a_denominator_below_one(example, denominator):
+    graph, costs = example
+    with pytest.raises(df.ValidationError):
+        df.perturb_costs(graph, costs, seed=5, denominator=denominator)
 
 
 # ---------------------------------------------------------------------------
