@@ -15,7 +15,13 @@ import sys
 from typing import IO, Sequence
 
 from . import oracle, walks
-from .errors import DualflowError, InfeasibleInstance, NotApplicable
+from .errors import (
+    DualflowError,
+    FormatError,
+    InfeasibleInstance,
+    InternalInvariant,
+    NotApplicable,
+)
 from .circuits import PartitionCircuit, max_step
 from .instances import (
     complete_bipartite,
@@ -68,7 +74,7 @@ def _parse_tree_tokens(graph: Digraph, text: str) -> frozenset[int]:
         token = token.strip()
         match = _TREE_TOKEN.match(token)
         if not match:
-            raise DualflowError(f"bad tree token {token!r} (expected vAvB)")
+            raise FormatError(f"bad tree token {token!r} (expected vAvB)")
         indices.add(walks.find_edge(graph, int(match.group(1)), int(match.group(2))))
     return frozenset(indices)
 
@@ -232,7 +238,7 @@ def _cmd_walk(args, out: IO[str]) -> dict:
     walk = builder(graph, costs, source, target)
     check = walks.validate_walk(graph, costs, walk)
     if not check.valid:
-        raise DualflowError(f"built walk failed validation: {check.violation}")
+        raise InternalInvariant(f"built walk failed validation: {check.violation}")
     return {
         "instance": _instance_summary(graph),
         "result": {"length": walk.length, "walk": _walk_payload(walk)},

@@ -88,11 +88,12 @@ def add_leaf(
     The leaf coordinate is forced to equal the attach coordinate at every
     vertex, so walks between old vertices are unaffected.
     """
+    check_costs(graph, costs)
     if not (0 <= attach < graph.node_count):
         raise ValidationError(f"attach node {attach} out of range")
     leaf = graph.node_count
     new_graph = Digraph(graph.node_count + 1, graph.edges + ((attach, leaf),))
-    return new_graph, costs + (Fraction(0),)
+    return new_graph, tuple(costs) + (Fraction(0),)
 
 
 def complete_bipartite(
@@ -117,6 +118,8 @@ def random_bipartite_costs(
     m: int, n: int, seed: int, max_denominator: int = 100
 ) -> list[list[Fraction]]:
     """Seeded positive rational cost matrix for the bipartite generator."""
+    if max_denominator < 1:
+        raise ValidationError(f"max_denominator {max_denominator} is below 1")
     rng = random.Random(seed)
     matrix = []
     for _ in range(m):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
+    EdgeMissing,
     FormatError,
     InfeasiblePoint,
     InfeasibleTree,
@@ -78,17 +80,25 @@ class Digraph:
     """Directed graph on nodes ``0..node_count-1`` with node 0 as anchor.
 
     No self-loops, no duplicate (tail, head) pairs, underlying undirected
-    graph connected.  Antiparallel edge pairs are allowed.
+    graph connected.  Antiparallel edge pairs are allowed.  Any iterable of
+    int pairs is stored as a tuple of tuples.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.node_count, int):
+            raise ValidationError(f"node count {self.node_count!r} is not an int")
         if self.node_count < 1:
             raise ValidationError("graph needs at least one node")
+        try:
+            edges = tuple([(operator.index(t), operator.index(h)) for t, h in self.edges])
+        except (TypeError, ValueError):
+            raise ValidationError("edges must be pairs of int node indices") from None
+        object.__setattr__(self, "edges", edges)
         seen = set()
-        for tail, head in self.edges:
+        for tail, head in edges:
             if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
                 raise ValidationError(f"edge ({tail},{head}) out of range")
             if tail == head:
@@ -134,9 +144,7 @@ class Block:
 
     Local node 0 is the anchor: the block's node nearest node 0 of the whole
     graph (a cut vertex, or node 0 itself).  ``nodes`` and ``edges`` map local
-    node and edge indices to the whole graph's.  ``lift[x]`` is the set of the
-    whole graph's nodes that move when local node ``x`` moves: ``x`` and every
-    node hanging below it in the block-cut tree.  The polyhedron is the
+    node and edge indices to the whole graph's.  The polyhedron is the
     direct sum of its blocks' polyhedra in the local coordinates
     ``u[x] - u[anchor]``.
     """
@@ -144,7 +152,6 @@ class Block:
     graph: Digraph
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
-    lift: tuple[frozenset[int], ...]
 
     def costs(self, costs: Sequence[Fraction]) -> CostVector:
         """The block's edge costs, as a tuple that the caches can key on."""
@@ -195,9 +202,7 @@ def blocks(graph: Digraph) -> tuple[Block, ...]:
                     found.append([parent] + sorted(members))
                     entered.append(order[v])
     if len(found) <= 1:
-        n, m = graph.node_count, graph.edge_count
-        lift = (frozenset(),) + tuple(frozenset({v}) for v in range(1, n))
-        return (Block(graph, tuple(range(n)), tuple(range(m)), lift),)
+        return (Block(graph, tuple(range(graph.node_count)), tuple(range(graph.edge_count))),)
     home: dict[int, int] = {}  # node -> the block holding it below its anchor
     for index, members in enumerate(found):
         for v in members[1:]:
@@ -208,20 +213,14 @@ def blocks(graph: Digraph) -> tuple[Block, ...]:
         if index is None or head not in found[index]:
             index = home[head]
         block_edges[index].append(i)
-    below: dict[int, frozenset[int]] = {}
     result = []
     for members, edge_ids in zip(found, block_edges):
         local = {v: x for x, v in enumerate(members)}
-        lift = tuple(
-            frozenset({v}) | below.get(v, frozenset()) if x else frozenset()
-            for x, v in enumerate(members)
-        )
-        below[members[0]] = below.get(members[0], frozenset()).union(*lift)
         block_graph = Digraph(
             len(members),
             tuple((local[graph.edges[i][0]], local[graph.edges[i][1]]) for i in edge_ids),
         )
-        result.append(Block(block_graph, tuple(members), tuple(edge_ids), lift))
+        result.append(Block(block_graph, tuple(members), tuple(edge_ids)))
     return tuple(block for _, block in sorted(zip(entered, result)))
 
 
@@ -229,13 +228,14 @@ def join_points(
     node_count: int, parts: Sequence[Block], points: Sequence[Point]
 ) -> Point:
     """The point of the whole graph whose block-local parts are ``points``:
-    each local coordinate moves the nodes its lift names."""
+    each block node sits at its anchor's coordinate plus its local one.
+    ``parts`` come in :func:`blocks` order, which sets every anchor before
+    its block."""
     coords = [Fraction(0)] * node_count
     for block, point in zip(parts, points):
-        for x in range(1, len(block.nodes)):
-            if point[x]:
-                for v in block.lift[x]:
-                    coords[v] += point[x]
+        base = coords[block.nodes[0]]
+        for v, local in zip(block.nodes[1:], point.coords[1:]):
+            coords[v] = base + local
     return Point(tuple(coords))
 
 
@@ -451,6 +451,8 @@ def slack(
     graph: Digraph, costs: Sequence[Fraction], point: Point, edge_index: int
 ) -> Fraction:
     """Slack of one edge inequality: ``cost - (u_head - u_tail)``."""
+    if not 0 <= edge_index < len(graph.edges):
+        raise EdgeMissing(f"edge index {edge_index} out of range")
     tail, head = graph.edges[edge_index]
     return costs[edge_index] - point[head] + point[tail]
 

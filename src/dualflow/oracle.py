@@ -39,6 +39,7 @@ from .errors import (
     DepthCapExceeded,
     FrontierTooLarge,
     IdenticalPoints,
+    InfeasibleInstance,
     InfeasiblePoint,
     NotApplicable,
     NotAVertex,
@@ -134,17 +135,14 @@ class _ScaledInstance(Grid):
         super().__init__(costs)
         self.tails = [e[0] for e in graph.edges]
         self.heads = [e[1] for e in graph.edges]
-        # (sign, blocking edges, members of S) per bounded signed circuit
-        self.directions: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        # (members of S, sign) -> blocking edges, per bounded signed circuit
+        self.directions: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         for circuit in enumerate_partitions(graph):
             members = tuple(sorted(circuit.s_set))
             for sign in (1, -1):
                 blocking = tuple(_blocking_edges(graph, circuit, sign))
                 if blocking:
-                    self.directions.append((sign, blocking, members))
-        self._blocking_of = {
-            (members, sign): blocking for sign, blocking, members in self.directions
-        }
+                    self.directions[members, sign] = blocking
         self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def neighbors(self, state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -153,7 +151,7 @@ class _ScaledInstance(Grid):
         if cached is not None:
             return cached
         result = []
-        for sign, blocking, members in self.directions:
+        for (members, sign), blocking in self.directions.items():
             epsilon = None
             for i in blocking:
                 s = self.costs[i] - state[self.heads[i]] + state[self.tails[i]]
@@ -182,7 +180,7 @@ class _ScaledInstance(Grid):
         delta = target[members[0]] - state[members[0]]
         if any(target[v] - state[v] != delta for v in members):
             return False
-        blocking = self._blocking_of.get((members, 1 if delta > 0 else -1))
+        blocking = self.directions.get((members, 1 if delta > 0 else -1))
         if blocking is None:
             return False
         step = abs(delta)
@@ -435,11 +433,10 @@ def circuit_distance(
 
 def _edge_diameter(
     graph: Digraph, costs: CostVector, tree_cap: int
-) -> tuple[int, tuple[Point, Point] | None]:
+) -> tuple[int, tuple[Point, Point]]:
     skeleton = _skeleton(graph, costs, tree_cap)
     vertices = skeleton.vertex_set.vertices
-    best = 0
-    pair = None
+    best, pair = 0, (vertices[0], vertices[0])
     for src in range(len(vertices)):
         depths: dict[int, int] = {}
         for w, parent in bfs_parents(src, skeleton.adjacency.__getitem__).items():
@@ -455,12 +452,10 @@ def _edge_diameter(
 
 def _circuit_diameter(
     graph: Digraph, costs: CostVector, tree_cap: int, depth_cap: int, state_cap: int
-) -> tuple[int, tuple[Point, Point] | None, int]:
+) -> tuple[int, tuple[Point, Point], int]:
     """The value, a pair attaining it, and the most states one search held."""
     vertices = enumerate_vertices(graph, costs, tree_cap=tree_cap).vertices
-    best = 0
-    pair = None
-    states = 0
+    best, pair, states = 0, (vertices[0], vertices[0]), 0
     for source in vertices:
         others = [v for v in vertices if v != source]
         if not others:
@@ -490,7 +485,8 @@ def diameter(
     the pair joined from the blocks' pairs.  ``tree_cap`` applies per
     block; in circuit mode each block's searches get the depth that the
     earlier blocks' diameters left, and the states that their largest
-    searches left.
+    searches left.  An infeasible instance has a block without vertices
+    and raises :class:`InfeasibleInstance`.
     """
     if mode not in ("edge", "circuit"):
         raise ValidationError("mode must be 'edge' or 'circuit'")
@@ -502,6 +498,8 @@ def diameter(
     ends = []
     for block in parts:
         block_costs = block.costs(costs)
+        if not enumerate_vertices(block.graph, block_costs, tree_cap).vertices:
+            raise InfeasibleInstance("the instance has no vertex (negative-cost cycle)")
         if mode == "edge":
             value, pair = _edge_diameter(block.graph, block_costs, tree_cap)
         else:
@@ -509,9 +507,6 @@ def diameter(
                 block.graph, block_costs, tree_cap, depth_cap - total, state_cap
             )
             state_cap -= states
-        if pair is None:  # a block with a single vertex
-            only = enumerate_vertices(block.graph, block_costs, tree_cap).vertices[0]
-            pair = (only, only)
         total += value
         ends.append(pair)
     if total == 0:

@@ -54,6 +54,7 @@ from .model import (
     Point,
     _find,
     bfs_parents,
+    check_costs,
     check_spanning_tree,
     component_count,
     connected_in_underlying,
@@ -132,6 +133,7 @@ def contract_edge(
     the head was the anchor, the merged node becomes the new anchor and
     lifted points are shifted so the old anchor coordinate is zero again.
     """
+    check_costs(graph, costs)
     if not (0 <= edge_index < graph.edge_count):
         raise EdgeMissing(f"edge index {edge_index} out of range")
     contracted, contracted_costs, record = _contract(graph, costs, edge_index)
@@ -147,20 +149,12 @@ def _contract(
     hold a feasible point at which the edge is tight."""
     kept, removed = graph.edges[edge_index]
     edge_cost = costs[edge_index]
-    if removed == ANCHOR:
-        order = [kept] + [v for v in range(1, graph.node_count) if v != kept]
-        new_index = {old: new for new, old in enumerate(order)}
-        new_index[ANCHOR] = new_index[kept]
-        shift = -edge_cost
-    else:
-        new_index = {}
-        for v in range(graph.node_count):
-            if v == removed:
-                new_index[v] = kept if kept < removed else kept - 1
-            else:
-                new_index[v] = v if v < removed else v - 1
-        shift = 0
-    node_map = tuple(new_index[v] for v in range(graph.node_count))
+    # one endpoint's index leaves the order and that endpoint takes its
+    # partner's; the anchor's index never leaves
+    dropped, partner = (kept, removed) if removed == ANCHOR else (removed, kept)
+    node_map = [v - (v > dropped) for v in range(graph.node_count)]
+    node_map[dropped] = node_map[partner]
+    shift = -edge_cost if removed == ANCHOR else 0
 
     new_edges: list[tuple[int, int]] = []
     new_costs: list[Fraction] = []
@@ -204,34 +198,27 @@ def _contract(
         kept_node=kept,
         removed_node=removed,
         edge_cost=edge_cost,
-        node_map=node_map,
+        node_map=tuple(node_map),
         edge_map=tuple(edge_map),
         shift=shift,
     )
     return contracted, contracted_costs, record
 
 
-def _lift_raw(record: ContractionRecord, point: Point) -> Point:
-    coords = []
-    for v in range(record.original_graph.node_count):
-        if v == record.removed_node:
-            base = point[record.node_map[record.kept_node]]
-            coords.append(base + record.edge_cost + record.shift)
-        else:
-            coords.append(point[record.node_map[v]] + record.shift)
-    return Point(tuple(coords))
-
-
 def lift_point(record: ContractionRecord, point: Point) -> Point:
     """Map a contracted-instance point back to the original coordinates.
 
-    The removed coordinate is restored from the tight contracted edge; when
+    Every node takes its contracted node's coordinate plus the record's
+    shift, and the removed node adds the cost of the tight edge; when
     feasible input lifts to an infeasible point the cost adjustment is wrong
     and :class:`InfeasibleLift` reports the internal inconsistency.
     """
     if len(point) != record.graph.node_count:
         raise DimensionMismatch("point does not belong to the contracted instance")
-    lifted = _lift_raw(record, point)
+    lifted = Point(tuple(
+        point[x] + record.shift + (record.edge_cost if v == record.removed_node else 0)
+        for v, x in enumerate(record.node_map)
+    ))
     if is_feasible(record.graph, record.costs, point) and not is_feasible(
         record.original_graph, record.original_costs, lifted
     ):
@@ -265,6 +252,8 @@ def last_backward_edge(
     :class:`NoBackwardEdge` when every path edge already points toward the
     goal (a tight directed path, excluded for valid pivots).
     """
+    if not (0 <= start < graph.node_count and 0 <= goal < graph.node_count):
+        raise ValidationError(f"node {start} or {goal} out of range")
     if start == goal:
         raise ValidationError("start and goal coincide")
     tree = check_spanning_tree(graph, tree)
@@ -378,23 +367,24 @@ def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
 
 
 class _ContractionStack:
-    """Original-space bookkeeping for a builder walking through contractions."""
+    """The contracted instance a builder walks on, and the node of it that
+    each original node merged into.  Lifting is affine with this map as its
+    linear part, so a contracted step moves the original point on the
+    map's preimage of the step's S."""
 
     def __init__(self, graph: Digraph, costs: CostVector):
         self.graph = graph
         self.costs = costs
-        self.records: list[ContractionRecord] = []
+        self.node_map = tuple(range(graph.node_count))
 
-    def lift(self, point: Point) -> Point:
-        for record in reversed(self.records):
-            point = _lift_raw(record, point)
-        return point
+    def preimage(self, s_set: frozenset[int]) -> frozenset[int]:
+        return frozenset(v for v, x in enumerate(self.node_map) if x in s_set)
 
     def contract(self, point: Point, remaining: list[int]) -> tuple[Point, list[int]]:
         """Contract ``remaining[0]``, which is tight at the feasible point;
         return the point and the other remaining edges after contraction."""
         self.graph, self.costs, record = _contract(self.graph, self.costs, remaining[0])
-        self.records.append(record)
+        self.node_map = tuple(record.node_map[x] for x in self.node_map)
         remaining = [record.edge_map[i] for i in remaining[1:]]
         if None in remaining:
             raise InternalInvariant("a target edge collapsed")
@@ -459,8 +449,9 @@ def edge_walk(
             if step.entering_edges & deleted:
                 raise InternalInvariant("re-inserted a deleted edge")
             deleted.add(dropped)
-            current = shift_point(current, circuit.s_set, sign * step.epsilon)
-            points.append(stack.lift(current))
+            delta = sign * step.epsilon
+            current = shift_point(current, circuit.s_set, delta)
+            points.append(shift_point(points[-1], stack.preimage(circuit.s_set), delta))
             seen_pivots += 1
             if seen_pivots > bound:
                 raise InternalInvariant("pivot phase exceeded its guaranteed bound")
@@ -502,8 +493,9 @@ def circuit_walk(
                 raise InternalInvariant("insertion step did not grow the reach set")
             reach = grown
             step = _max_step(stack.graph, stack.costs, current, circuit, sign)
-            current = shift_point(current, circuit.s_set, sign * step.epsilon)
-            points.append(stack.lift(current))
+            delta = sign * step.epsilon
+            current = shift_point(current, circuit.s_set, delta)
+            points.append(shift_point(points[-1], stack.preimage(circuit.s_set), delta))
             steps_in_phase += 1
             if steps_in_phase > stack.graph.node_count - 1:
                 raise InternalInvariant("insertion phase exceeded its guaranteed bound")
@@ -592,6 +584,7 @@ def perturb_costs(
 ) -> CostVector:
     """Add independent random rationals with the given denominator; breaks
     ties so that degenerate instances become nondegenerate almost surely."""
+    check_costs(graph, costs)
     if denominator < 1:
         raise ValidationError(f"denominator {denominator} is not a positive integer")
     rng = random.Random(seed)

@@ -352,3 +352,27 @@ def test_output_directory_json_report(tmp_path, example_file, capsys):
     assert report["error"]["code"] == "unreadable-file"
     assert report["result"] is None
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_malformed_tree_token_is_a_format_error(example_file):
+    code, text = invoke(
+        ["walk", example_file, "--mode", "edge", "--source-tree", "v0v1x",
+         "--target-point", "0,0,0,0", "--json"]
+    )
+    assert code == 1
+    assert json.loads(text)["error"]["code"] == "format"
+
+
+def test_walk_failing_validation_is_an_internal_invariant(example_file, monkeypatch):
+    """A built walk that fails validation is a bug, reported as such."""
+    monkeypatch.setattr(
+        df.walks, "validate_walk", lambda *args: df.WalkValidation(False, "planted")
+    )
+    code, text = invoke(
+        ["walk", example_file, "--mode", "circuit", "--source-point", "0,0,0,0",
+         "--target-point", "0,2/3,4/3,2", "--json"]
+    )
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["code"] == "internal-invariant"
+    assert "planted" in error["message"]

@@ -203,6 +203,13 @@ def test_add_leaf_shape(example):
     assert bigger_costs[-1] == 0
 
 
+def test_add_leaf_accepts_a_cost_list(example):
+    graph, costs = example
+    bigger, bigger_costs = df.add_leaf(graph, list(costs), 2)
+    assert bigger_costs == costs + (Fraction(0),)
+    assert len(bigger_costs) == bigger.edge_count
+
+
 def test_leaf_coordinate_tracks_attach_node(example):
     graph, costs = example
     bigger, bigger_costs = df.add_leaf(graph, costs, 2)

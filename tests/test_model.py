@@ -422,3 +422,36 @@ def test_rational_results_stay_canonical():
             assert result.denominator > 0
             assert math.gcd(abs(result.numerator), result.denominator) == 1
     assert Fraction(0, 7) == Fraction(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# typed errors at the public boundary
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda g, c: df.contract_edge(g, c[:3], 0), df.DimensionMismatch),
+        (lambda g, c: df.perturb_costs(g, c[:3], 1), df.DimensionMismatch),
+        (lambda g, c: df.add_leaf(g, c[:5], 0), df.DimensionMismatch),
+        (lambda g, c: df.random_bipartite_costs(2, 2, 1, 0), df.ValidationError),
+        (lambda g, c: df.Digraph("3", ((0, 1), (1, 2))), df.ValidationError),
+        (lambda g, c: df.Digraph(2, ((0, "1"),)), df.ValidationError),
+        (lambda g, c: df.Digraph(2, ((0, 1, 1),)), df.ValidationError),
+        (lambda g, c: df.Digraph(2, None), df.ValidationError),
+        (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), 99), df.EdgeMissing),
+        (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), -1), df.EdgeMissing),
+        (lambda g, c: df.last_backward_edge(g, {0, 1, 2}, 0, 9), df.ValidationError),
+    ],
+)
+def test_public_calls_raise_typed_errors(example, call, error):
+    graph, costs = example
+    with pytest.raises(error):
+        call(graph, costs)
+
+
+def test_digraph_stores_its_edges_as_a_tuple_of_pairs():
+    graph = df.Digraph(2, [[0, 1], (1, 0)])
+    assert graph.edges == ((0, 1), (1, 0))
+    assert graph == df.Digraph(2, ((0, 1), (1, 0)))
+    assert len(df.enumerate_vertices(graph, df.cost_vector([1, 1])).vertices) == 2

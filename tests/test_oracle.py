@@ -430,6 +430,19 @@ def test_diameter_rejects_unknown_mode(example):
         df.diameter(graph, costs, "vertex")
 
 
+@pytest.mark.parametrize("mode", ["edge", "circuit"])
+def test_diameter_of_an_infeasible_instance(example, mode):
+    """A negative-cost cycle leaves its block without vertices, on its own
+    or glued to a feasible block."""
+    cycle = df.Digraph(3, ((0, 1), (1, 2), (2, 0)))
+    cycle_costs = df.cost_vector([1, 1, -3])
+    graph, costs = example
+    glued, glued_costs, _ = df.glue([(graph, costs, 0), (cycle, cycle_costs, 1)])
+    for instance in ((cycle, cycle_costs), (glued, glued_costs)):
+        with pytest.raises(df.InfeasibleInstance):
+            df.diameter(*instance, mode)
+
+
 def test_point_messages_print_rationals(example, near_vertex):
     graph, costs = example
     assert str(df.Point.of(0, "2/3", "4/3", 2)) == "(0, 2/3, 4/3, 2)"
@@ -442,12 +455,32 @@ def test_point_messages_print_rationals(example, near_vertex):
 # block decomposition against the undecomposed references
 
 
+def triangle_chain(rng: random.Random, integer: bool) -> tuple[df.Digraph, df.CostVector]:
+    """Four directed triangles, each glued at a non-anchor node of the one
+    before, so that the blocks hang at nodes 0, 2, 4 and 6, each one level
+    below the last.  Nonnegative costs keep it feasible; each triangle is a
+    directed cycle, of random direction, so that it has three vertices
+    unless its cycle costs nothing."""
+    edges = []
+    for base in (0, 2, 4, 6):
+        cycle = ((base, base + 1), (base + 1, base + 2), (base + 2, base))
+        forward = rng.random() < 0.5
+        edges += [pair if forward else pair[::-1] for pair in cycle]
+    if integer:
+        costs = tuple(Fraction(rng.randint(0, 2)) for _ in edges)
+    else:
+        costs = tuple(Fraction(rng.randint(0, 40), rng.randint(1, 20)) for _ in edges)
+    return df.Digraph(9, tuple(edges)), costs
+
+
 @lru_cache(maxsize=1)
 def cut_vertex_instances() -> tuple[tuple[df.Digraph, df.CostVector], ...]:
     """42 seeded feasible instances with a cut vertex, in turn: two random
     tournaments on 3-4 nodes glued at random nodes; a 4-node tournament with
     a leaf; a sparse 6-node sub-tournament with bridges or cut vertices.
-    Every fourth has integer costs in {0, 1, 2}, so degenerate blocks occur."""
+    Every fourth has integer costs in {0, 1, 2}, so degenerate blocks occur.
+    Then two chains of triangles (see :func:`triangle_chain`), the second
+    with integer costs, whose blocks lie up to three levels deep."""
     rng = random.Random(61)
     made = []
     while len(made) < 42:
@@ -468,6 +501,8 @@ def cut_vertex_instances() -> tuple[tuple[df.Digraph, df.CostVector], ...]:
             graph, costs = random_sub_tournament(rng, 6, skip=0.45, integer_costs=integer)
         if len(blocks(graph)) > 1 and df.feasibility_status(graph, costs).feasible:
             made.append((graph, costs))
+    chains = random.Random(73)
+    made += [triangle_chain(chains, integer) for integer in (False, True)]
     return tuple(made)
 
 
@@ -487,6 +522,8 @@ def whole_graph_vertices(graph, costs) -> dict:
 def test_blocks_split_at_the_cut_vertices():
     """Blocks partition the edges, share exactly the nodes whose removal
     disconnects the graph, and their local coordinates round-trip."""
+    for graph, _ in cut_vertex_instances()[-2:]:
+        assert [block.nodes[0] for block in blocks(graph)] == [0, 2, 4, 6]
     for graph, costs in cut_vertex_instances():
         parts = blocks(graph)
         assert sorted(i for b in parts for i in b.edges) == list(range(graph.edge_count))

@@ -91,6 +91,23 @@ def test_contract_anchor_removal(example):
     assert edge in df.tight_graph(graph, costs, lifted)
 
 
+def test_contraction_node_map_follows_its_rule():
+    """The removed node's index leaves the order, or the kept node's when the
+    removed node is the anchor; the other nodes keep their order, and the
+    node whose index left takes its partner's.  Zero costs make every
+    edge's face nonempty."""
+    rng = random.Random(83)
+    for _ in range(60):
+        graph, _ = random_sub_tournament(rng, rng.randint(2, 7))
+        n, costs = graph.node_count, (Fraction(0),) * graph.edge_count
+        for i, (tail, head) in enumerate(graph.edges):
+            node_map = df.contract_edge(graph, costs, i)[2].node_map
+            dropped, partner = (tail, head) if head == df.ANCHOR else (head, tail)
+            order = [v for v in range(n) if v != dropped]
+            assert [node_map[v] for v in order] == list(range(n - 1))
+            assert node_map[dropped] == node_map[partner]
+
+
 # ---------------------------------------------------------------------------
 # lift / project
 
@@ -448,6 +465,74 @@ def test_builders_walk_the_pinned_points(name, mode, near_vertex, far_vertex):
     builder = df.circuit_walk if mode == "circuit" else df.edge_walk
     walk = builder(graph, costs, source, target)
     assert walk.points == tuple(df.Point.of(*p) for p in PINNED_WALKS[name, mode])
+    assert df.validate_walk(graph, costs, walk).valid
+
+
+# shortest-path vertices from and to node 0 of a perturbed 10-node
+# sub-tournament, walked as the builders did when they lifted each point
+# through every contraction record so far; each walk contracts nine edges
+PINNED_TEN_NODE_WALKS = {
+    "circuit": [
+        (0, "2183/1000", "957/1000", "4083/1000", "116/125",
+         "729/500", "1217/250", "489/200", "2103/1000", "21/100"),
+        (0, "-937/1000", "-2163/1000", "963/1000", "-274/125",
+         "-831/500", "437/250", "-27/40", "-1017/1000", "-291/100"),
+        (0, "-1013/1000", "-2163/1000", "887/1000", "-567/250",
+         "-869/500", "209/125", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-521/200", "-2163/1000", "-141/200", "-567/250",
+         "-333/100", "2/25", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-521/200", "-2163/1000", "-124/125", "-567/250",
+         "-3617/1000", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-241/125", "-743/500", "-124/125", "-567/250",
+         "-3617/1000", "-207/1000", "-27/40", "-1093/1000", "-2233/1000"),
+        (0, "-1559/1000", "-1117/1000", "-124/125", "-1899/1000",
+         "-3617/1000", "-207/1000", "-27/40", "-1093/1000", "-233/125"),
+        (0, "-241/125", "-743/500", "-1361/1000", "-567/250",
+         "-1993/500", "-207/1000", "-27/40", "-1093/1000", "-2233/1000"),
+        (0, "-521/200", "-2163/1000", "-1019/500", "-567/250",
+         "-4663/1000", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-521/200", "-2163/1000", "-428/125", "-567/250",
+         "-4663/1000", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+    ],
+    "edge": [
+        (0, "2183/1000", "957/1000", "4083/1000", "116/125",
+         "729/500", "1217/250", "489/200", "2103/1000", "21/100"),
+        (0, "2183/1000", "957/1000", "4083/1000", "213/250",
+         "729/500", "599/125", "489/200", "2027/1000", "21/100"),
+        (0, "-937/1000", "-2163/1000", "963/1000", "-567/250",
+         "-831/500", "209/125", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-937/1000", "-2163/1000", "963/1000", "-567/250",
+         "-831/500", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-413/250", "-2163/1000", "963/1000", "-567/250",
+         "-831/500", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-413/250", "-743/500", "963/1000", "-567/250",
+         "-197/200", "-207/1000", "-27/40", "-1093/1000", "-2233/1000"),
+        (0, "-413/250", "-121/100", "963/1000", "-249/125",
+         "-709/1000", "-207/1000", "-27/40", "-1093/1000", "-1957/1000"),
+        (0, "-413/250", "-121/100", "963/1000", "-249/125",
+         "-217/125", "-207/1000", "-27/40", "-1093/1000", "-1957/1000"),
+        (0, "-109/200", "-103/1000", "963/1000", "-177/200",
+         "-217/125", "-207/1000", "-27/40", "-1093/1000", "-17/20"),
+        (0, "-109/200", "-103/1000", "12/125", "-177/200",
+         "-2603/1000", "-207/1000", "-27/40", "-1093/1000", "-17/20"),
+        (0, "-241/125", "-743/500", "-1287/1000", "-567/250",
+         "-1993/500", "-207/1000", "-27/40", "-1093/1000", "-2233/1000"),
+        (0, "-521/200", "-2163/1000", "-491/250", "-567/250",
+         "-4663/1000", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+        (0, "-521/200", "-2163/1000", "-428/125", "-567/250",
+         "-4663/1000", "-207/1000", "-27/40", "-1093/1000", "-291/100"),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_TEN_NODE_WALKS))
+def test_builders_walk_the_pinned_ten_node_points(mode):
+    graph, costs = random_sub_tournament(random.Random(26), 10, integer_costs=True)
+    costs = df.perturb_costs(graph, costs, 26, denominator=1000)
+    expected = tuple(df.Point.of(*p) for p in PINNED_TEN_NODE_WALKS[mode])
+    builder = df.circuit_walk if mode == "circuit" else df.edge_walk
+    walk = builder(graph, costs, expected[0], expected[-1])
+    assert walk.points == expected
     assert df.validate_walk(graph, costs, walk).valid
 
 
