@@ -303,13 +303,18 @@ def check_costs(graph: Digraph, costs: Sequence[Fraction]) -> None:
 
 @dataclass(frozen=True)
 class Point:
-    """A candidate member of the polyhedron; coordinate 0 is pinned to zero."""
+    """A candidate member of the polyhedron; coordinate 0 is pinned to zero.
+    Coordinates are ``Fraction`` or ``int``; anything else raises
+    :class:`FormatError`."""
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.coords:
             raise ValidationError("empty point")
+        for c in self.coords:
+            if not isinstance(c, (int, Fraction)):
+                raise FormatError(f"bad coordinate {c!r}: expected an int or a Fraction")
         if self.coords[ANCHOR] != 0:
             raise ValidationError("anchor coordinate must be zero")
 
@@ -700,9 +705,14 @@ def enumerate_vertices(
 
     The vertices are the product of the blocks' vertices (see
     :func:`blocks`), and each tree witness is the union of one witness tree
-    per block.  Each block solves each of its spanning trees and keeps the
-    feasible results.  ``tree_cap`` bounds the whole graph's spanning trees,
-    the product of the blocks' counts, because the result is the product.
+    per block.  Each block searches its spanning trees on the integer grid
+    and cuts every forest that no feasible tree completes (see
+    :func:`_tree_vertex_set`).  ``tree_cap`` bounds the whole graph's
+    spanning trees, the product of the blocks' counts, because the result
+    is the product.  Every spanning tree counts, feasible or not: the count
+    comes from the matrix-tree theorem before any search, so the cap raises
+    :class:`InstanceTooLarge` on the same instances as a search of every
+    tree would.
     """
     check_costs(graph, costs)
     return _vertex_set(graph, tuple(costs), tree_cap)
@@ -738,17 +748,67 @@ def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
 
 
 def _tree_vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
-    buckets: dict[tuple[Fraction, ...], list[frozenset[int]]] = {}
-    for tree in enumerate_spanning_trees(graph, cap=tree_cap):
-        try:
-            vertex = vertex_from_tree(graph, costs, tree)
-        except InfeasibleTree:
-            continue
-        buckets.setdefault(vertex.coords, []).append(tree)
+    """The spanning-tree search of :func:`enumerate_spanning_trees`, in its
+    edge and include-before-exclude order, run on the integer grid.
+
+    Each forest carries integer potentials that make its edges tight.
+    Including an edge shifts one of the two components it joins so that the
+    edge is tight, then checks every edge between them: their slacks never
+    change again, so a negative one cuts the branch.  A leaf's potentials,
+    re-based at the anchor, are then its vertex's grid state.
+    """
+    _check_tree_cap(count_spanning_trees(graph), tree_cap)
+    grid = Grid(costs)
+    n, m = graph.node_count, graph.edge_count
+    edges = [(cost, tail, head) for cost, (tail, head) in zip(grid.costs, graph.edges)]
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for edge in edges:
+        incident[edge[1]].append(edge)
+        incident[edge[2]].append(edge)
+    buckets: dict[tuple[int, ...], list[frozenset[int]]] = {}
+    chosen: list[int] = []
+
+    # ``label`` maps each node to its component's root, a member whose own
+    # label is itself, so it is also a flat union-find parent list
+    def rec(index: int, label: list[int], potential: list[int]) -> None:
+        if len(chosen) == n - 1:
+            base = potential[ANCHOR]
+            state = tuple(p - base for p in potential)
+            buckets.setdefault(state, []).append(frozenset(chosen))
+            return
+        if index == m:
+            return
+        cost, tail, head = edges[index]
+        root_t, root_h = label[tail], label[head]
+        if root_t == root_h:
+            # cycle edge: skipping it cannot disconnect anything
+            rec(index + 1, label, potential)
+            return
+        # include the edge: move the head's component so that it is tight
+        delta = cost - potential[head] + potential[tail]
+        moved = [v for v in range(n) if label[v] == root_h]
+        joined, shifted = label[:], potential[:]
+        for v in moved:
+            joined[v] = root_t
+            shifted[v] += delta
+        if all(
+            c - shifted[h] + shifted[t] >= 0
+            for v in moved
+            for c, t, h in incident[v]
+            if root_t in (label[t], label[h])
+        ):
+            chosen.append(index)
+            rec(index + 1, joined, shifted)
+            chosen.pop()
+        # exclude it, but only if the rest can still span
+        if _spannable(graph, label, index + 1):
+            rec(index + 1, label, potential)
+
+    rec(0, list(range(n)), [0] * n)
     ordered = sorted(buckets)
     return VertexSet(
-        tuple(Point(coords) for coords in ordered),
-        tuple(tuple(buckets[coords]) for coords in ordered),
+        tuple(map(grid.to_point, ordered)),
+        tuple(tuple(buckets[state]) for state in ordered),
     )
 
 

@@ -59,6 +59,7 @@ from .model import (
     check_costs,
     component_count,
     enumerate_vertices,
+    feasibility_status,
     is_feasible,
     is_vertex,
     join_points,
@@ -208,13 +209,29 @@ class _Skeleton:
     adjacency: tuple[tuple[int, ...], ...]
 
 
+_NO_VERTEX = "the instance has no vertex (negative-cost cycle)"
+
+
+def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
+    """The vertex set of one block, which only a negative-cost cycle leaves
+    empty: that raises :class:`InfeasibleInstance`."""
+    vertex_set = enumerate_vertices(graph, costs, tree_cap)
+    if not vertex_set.vertices:
+        raise InfeasibleInstance(_NO_VERTEX)
+    return vertex_set
+
+
 @lru_cache(maxsize=64)
 def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
-    vertex_set = enumerate_vertices(graph, costs, tree_cap=tree_cap)
-    vertices = vertex_set.vertices
-    n = len(vertices)
+    """Raises :class:`InfeasibleInstance` for an empty polyhedron.
+
+    A vertex's tight graph is connected and has no self-loops, so each of
+    its edges lies in one of its spanning trees, the vertex's witness
+    trees: their union is the tight set."""
+    vertex_set = _vertices(graph, costs, tree_cap)
+    n = len(vertex_set.vertices)
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    tights = [tight_graph(graph, costs, v) for v in vertices]
+    tights = [frozenset().union(*trees) for trees in vertex_set.tree_witnesses]
     for i in range(n):
         for j in range(i + 1, n):
             common = [graph.edges[e] for e in tights[i] & tights[j]]
@@ -257,15 +274,17 @@ def combinatorial_distance(
 ) -> DistanceResult:
     """Exact shortest edge-walk length.  The skeleton is the Cartesian
     product of the blocks' skeletons, so each block's skeleton is searched
-    breadth-first and the lengths add; ``tree_cap`` applies per block."""
+    breadth-first and the lengths add; ``tree_cap`` applies per block.  An
+    infeasible instance has a block without vertices and raises
+    :class:`InfeasibleInstance`."""
     check_costs(graph, costs)
     for point in (source, target):
         if len(point) != graph.node_count:
             raise NotAVertex(f"{point} is not an enumerated vertex")
     parts = blocks(graph)
+    skeletons = [_skeleton(block.graph, block.costs(costs), tree_cap) for block in parts]
     chains = []
-    for block in parts:
-        skeleton = _skeleton(block.graph, block.costs(costs), tree_cap)
+    for block, skeleton in zip(parts, skeletons):
         src = skeleton.vertex_set.index_of(block.local(source))
         dst = skeleton.vertex_set.index_of(block.local(target))
         parents = bfs_parents(src, skeleton.adjacency.__getitem__)
@@ -405,9 +424,17 @@ def circuit_distance(
     Every circuit lies inside one block, so each block is searched on its
     own and the lengths add.  The caps bound the whole query: each block's
     search gets the depth and the states that the earlier blocks left.
+    An endpoint that is infeasible because the polyhedron is empty raises
+    :class:`InfeasibleInstance`.
     """
     for point in (source, target):
-        if not is_vertex(graph, costs, point):  # checks the costs too
+        try:
+            vertex = is_vertex(graph, costs, point)  # checks the costs too
+        except InfeasiblePoint:
+            if not feasibility_status(graph, costs).feasible:
+                raise InfeasibleInstance(_NO_VERTEX) from None
+            raise
+        if not vertex:
             raise NotAVertex(f"{point} is not a vertex")
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
@@ -454,7 +481,7 @@ def _circuit_diameter(
     graph: Digraph, costs: CostVector, tree_cap: int, depth_cap: int, state_cap: int
 ) -> tuple[int, tuple[Point, Point], int]:
     """The value, a pair attaining it, and the most states one search held."""
-    vertices = enumerate_vertices(graph, costs, tree_cap=tree_cap).vertices
+    vertices = _vertices(graph, costs, tree_cap).vertices
     best, pair, states = 0, (vertices[0], vertices[0]), 0
     for source in vertices:
         others = [v for v in vertices if v != source]
@@ -498,8 +525,6 @@ def diameter(
     ends = []
     for block in parts:
         block_costs = block.costs(costs)
-        if not enumerate_vertices(block.graph, block_costs, tree_cap).vertices:
-            raise InfeasibleInstance("the instance has no vertex (negative-cost cycle)")
         if mode == "edge":
             value, pair = _edge_diameter(block.graph, block_costs, tree_cap)
         else:

@@ -213,6 +213,21 @@ def test_domain_error_exit_code(tmp_path):
     report = json.loads(text)
     assert report["status"] == "error"
     assert report["error"]["code"] == "infeasible-instance"
+    code, text = invoke(
+        [
+            "distance",
+            str(path),
+            "--mode",
+            "edge",
+            "--source-point",
+            "0,0",
+            "--target-point",
+            "0,1",
+            "--json",
+        ]
+    )
+    assert code == 1
+    assert json.loads(text)["error"]["code"] == "infeasible-instance"
     code, text = invoke(["vertices", str(path), "--json"])
     assert code == 1
     assert json.loads(text)["error"]["code"] == "infeasible-instance"

@@ -91,6 +91,24 @@ def test_rational_rejects_other_types(parse, value):
         parse(value)
 
 
+@pytest.mark.parametrize("value", [0.5, 0.0, "1/2", None], ids=["float", "zero-float", "str", "None"])
+def test_point_rejects_other_coordinate_types(value):
+    with pytest.raises(df.FormatError, match="bad coordinate"):
+        df.Point((0, Fraction(1), value, 2))
+
+
+def test_point_accepts_ints_and_fractions():
+    point = df.Point((0, 1, Fraction(1, 2)))
+    assert point == df.Point.of(0, 1, "1/2")
+    assert str(point) == "(0, 1, 1/2)"
+
+
+def test_builder_rejects_a_float_endpoint(example, far_vertex):
+    graph, costs = example
+    with pytest.raises(df.FormatError):
+        df.circuit_walk(graph, costs, df.Point((0, 0, 0, 0.0)), far_vertex)
+
+
 def test_serialize_round_trip_preserves_order(example):
     graph, costs = example
     text = df.serialize_graph(graph, costs)

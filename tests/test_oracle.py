@@ -441,6 +441,11 @@ def test_diameter_of_an_infeasible_instance(example, mode):
     for instance in ((cycle, cycle_costs), (glued, glued_costs)):
         with pytest.raises(df.InfeasibleInstance):
             df.diameter(*instance, mode)
+        source = df.Point((0,) * instance[0].node_count)
+        target = df.Point((0,) + (1,) * (instance[0].node_count - 1))
+        distance = df.combinatorial_distance if mode == "edge" else df.circuit_distance
+        with pytest.raises(df.InfeasibleInstance):
+            distance(*instance, source, target)
 
 
 def test_point_messages_print_rationals(example, near_vertex):
@@ -507,15 +512,17 @@ def cut_vertex_instances() -> tuple[tuple[df.Digraph, df.CostVector], ...]:
 
 
 def whole_graph_vertices(graph, costs) -> dict:
-    """Vertex -> set of tree witnesses, from every spanning tree of the
-    whole graph."""
+    """Vertex -> list of tree witnesses, in the order
+    :func:`dualflow.enumerate_spanning_trees` yields them, from every
+    spanning tree of the whole graph solved by
+    :func:`dualflow.vertex_from_tree`."""
     found: dict = {}
     for tree in df.enumerate_spanning_trees(graph):
         try:
             vertex = df.vertex_from_tree(graph, costs, tree)
         except df.InfeasibleTree:
             continue
-        found.setdefault(vertex, set()).add(tree)
+        found.setdefault(vertex, []).append(tree)
     return found
 
 
@@ -549,11 +556,60 @@ def test_decomposed_vertices_match_whole_graph_trees():
         assert vertex_set.vertices == tuple(sorted(expected, key=lambda p: p.coords))
         for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses):
             assert len(set(trees)) == len(trees)
-            assert set(trees) == expected[vertex]
+            assert set(trees) == set(expected[vertex])
         report = df.degeneracy_report(graph, costs)
         assert set(report.witnesses) == {v for v, t in expected.items() if len(t) > 1}
         degenerate += not report.nondegenerate
     assert degenerate >= 5
+
+
+def biconnected_instances() -> list[tuple[df.Digraph, df.CostVector]]:
+    """2-connected instances, whose vertices come straight from one pruned
+    tree search: seeded sub-tournaments on 3-7 nodes, every fourth complete,
+    with rational or integer costs in {0, 1, 2} in turn; bipartite 3x4 with
+    all costs 1; and the infeasible 3-cycle."""
+    rng = random.Random(83)
+    made = []
+    while len(made) < 40:
+        size = 3 + len(made) % 5
+        skip = 0.0 if len(made) % 4 == 0 else 0.3
+        graph, costs = random_sub_tournament(
+            rng, size, skip=skip, integer_costs=len(made) % 2 == 1
+        )
+        if len(blocks(graph)) == 1:
+            made.append((graph, costs))
+    bipartite, _ = df.complete_bipartite(3, 4, df.random_bipartite_costs(3, 4, 7))
+    made.append((bipartite, df.cost_vector([1] * bipartite.edge_count)))
+    made.append((df.Digraph(3, ((0, 1), (1, 2), (2, 0))), df.cost_vector([1, 1, -3])))
+    return made
+
+
+def test_pruned_tree_search_matches_every_solved_tree():
+    """The grid search finds the vertices and witnesses that solving every
+    spanning tree finds, with each vertex's witnesses in enumeration order,
+    and their union is the vertex's tight set."""
+    degenerate = 0
+    for graph, costs in biconnected_instances():
+        assert len(blocks(graph)) == 1
+        expected = whole_graph_vertices(graph, costs)
+        vertex_set = df.enumerate_vertices(graph, costs)
+        assert vertex_set.vertices == tuple(sorted(expected, key=lambda p: p.coords))
+        for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses):
+            assert list(trees) == expected[vertex]
+            assert frozenset().union(*trees) == df.tight_graph(graph, costs, vertex)
+        degenerate += any(len(trees) > 1 for trees in vertex_set.tree_witnesses)
+    assert degenerate >= 10
+
+
+def test_tree_cap_counts_every_spanning_tree():
+    """The cap counts infeasible trees too: gk(4) has 38,416 vertices but
+    6,765,201 spanning trees."""
+    with pytest.raises(df.InstanceTooLarge, match="6765201 spanning trees"):
+        df.enumerate_vertices(*df.family_gk(4))
+    graph, costs = df.example_graph()
+    with pytest.raises(df.InstanceTooLarge):
+        df.enumerate_vertices(graph, costs, tree_cap=50)
+    assert len(df.enumerate_vertices(graph, costs, tree_cap=51).vertices) == 14
 
 
 def test_decomposed_circuit_distances_match_whole_graph_search():
