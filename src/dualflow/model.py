@@ -15,13 +15,14 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
     EdgeMissing,
     FormatError,
+    InfeasibleInstance,
     InfeasiblePoint,
     InfeasibleTree,
     InstanceTooLarge,
@@ -576,6 +577,34 @@ def is_vertex(graph: Digraph, costs: Sequence[Fraction], point: Point) -> bool:
     return component_count(graph.node_count, [graph.edges[i] for i in tight]) == 1
 
 
+_NO_VERTEX = "the instance has no vertex (negative-cost cycle)"
+
+
+def check_vertices(
+    graph: Digraph, costs: Sequence[Fraction], *points: Point
+) -> list[TightEdgeSet]:
+    """The endpoint check of the distance oracles and the walk builders:
+    raise unless every point is a vertex, and return each point's tight
+    set.  A wrong length raises :class:`DimensionMismatch`, an infeasible
+    point :class:`InfeasiblePoint` (or :class:`InfeasibleInstance` when the
+    polyhedron is empty) and a feasible non-vertex :class:`NotAVertex`.
+    Runs on a :class:`Grid` fine enough for the points too."""
+    grid = Grid(costs, points)
+    tights = []
+    for point in points:
+        try:
+            # checks the costs too
+            tight = tight_graph(graph, grid.costs, Point(grid.to_state(point)))
+        except InfeasiblePoint:
+            if not feasibility_status(graph, costs).feasible:
+                raise InfeasibleInstance(_NO_VERTEX) from None
+            raise
+        if component_count(graph.node_count, [graph.edges[i] for i in tight]) != 1:
+            raise NotAVertex(f"{point} is not a vertex")
+        tights.append(tight)
+    return tights
+
+
 # ---------------------------------------------------------------------------
 # spanning tree enumeration
 
@@ -690,10 +719,14 @@ class VertexSet:
     vertices: tuple[Point, ...]
     tree_witnesses: tuple[tuple[frozenset[int], ...], ...]
 
+    @cached_property
+    def _index(self) -> dict[Point, int]:
+        return {vertex: i for i, vertex in enumerate(self.vertices)}
+
     def index_of(self, point: Point) -> int:
         try:
-            return self.vertices.index(point)
-        except ValueError:
+            return self._index[point]
+        except KeyError:
             raise NotAVertex(f"{point} is not an enumerated vertex") from None
 
 

@@ -13,18 +13,24 @@ block.  The depth and state caps bound the whole query, and the blocks
 share them; ``tree_cap`` applies per block.  Each query checks the cost
 vector's length on entry.
 
-Circuit-walk search runs on the instance's integer view,
+Both distances and both diameters run one breadth-first search
+(:func:`_search`) over a block's space; only the space depends on the
+mode.  Edge walks search the skeleton, whose states are vertex indices.
+Circuit walks search the instance's integer view,
 :class:`dualflow.model.Grid` (all coordinates are multiples of 1/L where L
-is the lcm of the cost denominators), which keeps the state space hashable
-and the arithmetic cheap without leaving exact arithmetic.  Its directions and their blocking
-edges come from :mod:`dualflow.circuits`, so the search stops each step
-where :func:`dualflow.circuits.max_step` does; only the slack arithmetic
-runs on integers.  The search tests the layer that holds its last targets
-against them instead of generating it (see :func:`_circuit_search`).
+is the lcm of the cost denominators), which keeps the states hashable and
+the arithmetic cheap without leaving exact arithmetic.  Its directions and
+their blocking edges come from :mod:`dualflow.circuits`, so the search
+stops each step where :func:`dualflow.circuits.max_step` does; only the
+slack arithmetic runs on integers.  That space tests the layer that holds
+its last targets against them instead of generating it (see
+:meth:`_ScaledInstance.goal_test`).  Edge queries read no depth or state
+cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -42,7 +48,6 @@ from .errors import (
     InfeasibleInstance,
     InfeasiblePoint,
     NotApplicable,
-    NotAVertex,
     UnboundedDirection,
     ValidationError,
 )
@@ -54,14 +59,13 @@ from .model import (
     Grid,
     Point,
     VertexSet,
-    bfs_parents,
+    _NO_VERTEX,
     blocks,
     check_costs,
+    check_vertices,
     component_count,
     enumerate_vertices,
-    feasibility_status,
     is_feasible,
-    is_vertex,
     join_points,
     shift_point,
     tight_graph,
@@ -88,9 +92,7 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
     into exactly two connected components (isolated nodes count)."""
     if u == v:
         raise IdenticalPoints("adjacency needs two distinct vertices")
-    for point in (u, v):
-        if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{point} is not a vertex")
+    check_vertices(graph, costs, u, v)
     common = tight_graph(graph, costs, u) & tight_graph(graph, costs, v)
     return component_count(graph.node_count, [graph.edges[i] for i in common]) == 2
 
@@ -125,12 +127,12 @@ def first_circuit_neighbors(
 
 
 # ---------------------------------------------------------------------------
-# scaled instance
+# search spaces
 
 
 class _ScaledInstance(Grid):
-    """The instance's :class:`Grid` with its signed circuits, for the search
-    over integer states."""
+    """The instance's :class:`Grid` with its signed circuits: the circuit
+    search's space, whose states are grid points."""
 
     def __init__(self, graph: Digraph, costs: CostVector):
         super().__init__(costs)
@@ -193,23 +195,58 @@ class _ScaledInstance(Grid):
             tight = tight or s == step
         return tight
 
+    def goal_test(
+        self,
+        frontier: Sequence[tuple[int, ...]],
+        targets: Sequence[tuple[int, ...]],
+        found: dict,
+    ) -> dict[tuple[int, ...], list[tuple[int, ...]]] | None:
+        """Each frontier state with the targets not in ``found`` one step
+        from it that no earlier frontier state reaches, or None when some
+        such target is one step from none.  Testing a state against fewer
+        targets than there are directions costs less than expanding it; with
+        more targets the frontier is not tested, and the answer is None."""
+        if len(targets) - len(found) >= len(self.directions):
+            return None
+        remaining = [target for target in targets if target not in found]
+        hits = {}
+        for state in frontier:
+            hit = [target for target in remaining if self.one_step(state, target)]
+            if hit:
+                hits[state] = hit
+                remaining = [target for target in remaining if target not in hit]
+                if not remaining:
+                    return hits
+        return None
+
 
 @lru_cache(maxsize=64)
 def _scaled_instance(graph: Digraph, costs: CostVector) -> _ScaledInstance:
     return _ScaledInstance(graph, costs)
 
 
-# ---------------------------------------------------------------------------
-# skeleton of the polyhedron
-
-
 @dataclass(frozen=True)
 class _Skeleton:
+    """The polyhedron's skeleton: the edge search's space, whose states are
+    vertex indices."""
+
     vertex_set: VertexSet
     adjacency: tuple[tuple[int, ...], ...]
 
+    def to_state(self, point: Point) -> int:
+        return self.vertex_set.index_of(point)
 
-_NO_VERTEX = "the instance has no vertex (negative-cost cycle)"
+    def to_point(self, state: int) -> Point:
+        return self.vertex_set.vertices[state]
+
+    def neighbors(self, state: int) -> tuple[int, ...]:
+        return self.adjacency[state]
+
+    def goal_test(
+        self, frontier: Sequence[int], targets: Sequence[int], found: dict
+    ) -> None:
+        """Never tests: a vertex has as many neighbours to expand as to test."""
+        return None
 
 
 def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
@@ -241,13 +278,90 @@ def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
     return _Skeleton(vertex_set, tuple(tuple(a) for a in adjacency))
 
 
-def _chain(parents: dict, end):
-    """The path from the root of a search's parents map to ``end``."""
-    chain = [end]
-    while parents[chain[-1]] is not None:
-        chain.append(parents[chain[-1]])
-    chain.reverse()
-    return chain
+_Space = _ScaledInstance | _Skeleton
+
+
+def _space(mode: str, graph: Digraph, costs: CostVector, tree_cap: int) -> _Space:
+    """One block's search space: its skeleton for edge walks, its grid
+    points and their circuit steps for circuit walks."""
+    if mode == "edge":
+        return _skeleton(graph, costs, tree_cap)
+    return _scaled_instance(graph, costs)
+
+
+# ---------------------------------------------------------------------------
+# search
+
+
+def default_depth_cap(graph: Digraph) -> int:
+    n = graph.node_count
+    return n * (n - 1) // 2
+
+
+@dataclass(frozen=True)
+class _Reach:
+    """One search: the depth of each target state, and the search tree
+    that gives a shortest chain on demand."""
+
+    space: _Space
+    parents: dict
+    depths: dict
+
+    @property
+    def lengths(self) -> dict[Point, int]:
+        return {self.space.to_point(state): d for state, d in self.depths.items()}
+
+    def chain(self, target: Point) -> list[Point]:
+        states = [self.space.to_state(target)]
+        while self.parents[states[-1]] is not None:
+            states.append(self.parents[states[-1]])
+        return [self.space.to_point(state) for state in reversed(states)]
+
+
+def _search(
+    space: _Space, start, targets: Sequence, depth_cap: float, state_cap: float
+) -> _Reach:
+    """Breadth-first search over one block's space from the state ``start``
+    until every target state is found; the oracles call it once per block.
+
+    Each layer's frontier first goes to the space's goal test.  When that
+    gives every remaining target the first frontier state one step from it
+    as its parent, the one a full expansion would record, the search stops
+    and the last layer is never generated.  Otherwise the frontier is
+    expanded.  Raises :class:`FrontierTooLarge` past ``state_cap`` stored
+    states and :class:`DepthCapExceeded` when some target stays unreached.
+    """
+    wanted = set(targets)
+    parents = {start: None}
+    depths = {start: 0} if start in wanted else {}
+    frontier = [start]
+    depth = 0
+    while frontier and len(depths) < len(wanted) and depth < depth_cap:
+        depth += 1
+        tested = space.goal_test(frontier, targets, depths)
+        if tested is None:
+            layer = zip(frontier, map(space.neighbors, frontier))
+        else:
+            layer = tested.items()
+        next_frontier = []
+        for parent, states in layer:
+            for state in states:
+                if state in parents:
+                    continue
+                parents[state] = parent
+                if len(parents) > state_cap:
+                    raise FrontierTooLarge(f"more than {state_cap} states explored")
+                next_frontier.append(state)
+                if state in wanted:
+                    depths[state] = depth
+        frontier = next_frontier
+    if len(depths) < len(wanted):
+        raise DepthCapExceeded(f"target not reached within depth {depth_cap}")
+    return _Reach(space, parents, depths)
+
+
+# ---------------------------------------------------------------------------
+# distances
 
 
 def _walk_through_blocks(
@@ -265,6 +379,37 @@ def _walk_through_blocks(
     return points
 
 
+def _distance(
+    mode: str,
+    graph: Digraph,
+    costs: CostVector,
+    source: Point,
+    target: Point,
+    tree_cap: int,
+    depth_cap: float,
+    state_cap: float,
+) -> DistanceResult:
+    """Shortest walk in the mode, by one search per block; the lengths add.
+    The caps bound the whole query: each block's search gets the depth and
+    the states that the earlier blocks left."""
+    check_vertices(graph, costs, source, target)
+    parts = blocks(graph)
+    chains = []
+    for block in parts:
+        space = _space(mode, block.graph, block.costs(costs), tree_cap)
+        goal = block.local(target)
+        reach = _search(
+            space, space.to_state(block.local(source)), [space.to_state(goal)],
+            depth_cap, state_cap,
+        )
+        depth_cap -= reach.lengths[goal]
+        state_cap -= len(reach.parents)
+        chains.append(reach.chain(goal))
+    points = _walk_through_blocks(graph.node_count, parts, chains)
+    walk = walk_from_points(graph, costs, points, mode)
+    return DistanceResult(len(points) - 1, walk)
+
+
 def combinatorial_distance(
     graph: Digraph,
     costs: CostVector,
@@ -274,141 +419,12 @@ def combinatorial_distance(
 ) -> DistanceResult:
     """Exact shortest edge-walk length.  The skeleton is the Cartesian
     product of the blocks' skeletons, so each block's skeleton is searched
-    breadth-first and the lengths add; ``tree_cap`` applies per block.  An
-    infeasible instance has a block without vertices and raises
-    :class:`InfeasibleInstance`."""
-    check_costs(graph, costs)
-    for point in (source, target):
-        if len(point) != graph.node_count:
-            raise NotAVertex(f"{point} is not an enumerated vertex")
-    parts = blocks(graph)
-    skeletons = [_skeleton(block.graph, block.costs(costs), tree_cap) for block in parts]
-    chains = []
-    for block, skeleton in zip(parts, skeletons):
-        src = skeleton.vertex_set.index_of(block.local(source))
-        dst = skeleton.vertex_set.index_of(block.local(target))
-        parents = bfs_parents(src, skeleton.adjacency.__getitem__)
-        if dst not in parents:
-            raise NotAVertex("target unreachable on the skeleton")
-        chains.append([skeleton.vertex_set.vertices[i] for i in _chain(parents, dst)])
-    points = _walk_through_blocks(graph.node_count, parts, chains)
-    walk = walk_from_points(graph, costs, points, "edge")
-    return DistanceResult(len(points) - 1, walk)
-
-
-# ---------------------------------------------------------------------------
-# circuit distance
-
-
-def default_depth_cap(graph: Digraph) -> int:
-    n = graph.node_count
-    return n * (n - 1) // 2
-
-
-@dataclass(frozen=True)
-class _Reach:
-    """One circuit search: the distance to each target, and the search tree
-    that gives a shortest chain on demand."""
-
-    scaled: _ScaledInstance
-    parents: dict[tuple[int, ...], tuple[int, ...] | None]
-    lengths: dict[Point, int]
-
-    def chain(self, target: Point) -> list[Point]:
-        states = _chain(self.parents, self.scaled.to_state(target))
-        return [self.scaled.to_point(state) for state in states]
-
-
-def _goal_test(
-    scaled: _ScaledInstance,
-    frontier: Sequence[tuple[int, ...]],
-    targets: Sequence[tuple[int, ...]],
-) -> dict[tuple[int, ...], tuple[int, ...]] | None:
-    """Each target's first frontier state one step from it, or None when
-    some target is not one step from any."""
-    remaining = list(targets)
-    hits = {}
-    for state in frontier:
-        hit = [target for target in remaining if scaled.one_step(state, target)]
-        if hit:
-            for target in hit:
-                hits[target] = state
-            remaining = [target for target in remaining if target not in hits]
-            if not remaining:
-                return hits
-    return None
-
-
-def _circuit_search(
-    graph: Digraph,
-    costs: CostVector,
-    source: Point,
-    targets: Sequence[Point],
-    depth_cap: int,
-    state_cap: int,
-) -> _Reach:
-    """BFS over exact points of one instance, not split into blocks; the
-    oracles call it once per block.
-
-    Stops as soon as every target is found.  While fewer targets remain
-    than the instance has directions, testing a state against them costs
-    less than expanding it, so each layer's frontier is first tested in
-    order: if every remaining target is one step from it, each takes the
-    first frontier state that hits it as its parent, the one full
-    expansion would record, and the last layer is never generated.
-    Raises :class:`FrontierTooLarge` past ``state_cap`` stored states and
-    :class:`DepthCapExceeded` when some target stays unreached.
-    """
-    scaled = _scaled_instance(graph, costs)
-    start = scaled.to_state(source)
-    target_of = {scaled.to_state(t): t for t in targets}
-    # a set filled one state at a time: its order picks the diameter's pair
-    # among equally far targets
-    wanted = {state for state in target_of}
-    found: dict[tuple[int, ...], int] = {}  # target state -> its depth
-    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    frontier = [start]
-    depth = 0
-    if start in wanted:
-        found[start] = 0
-    while frontier and len(found) < len(wanted) and depth < depth_cap:
-        depth += 1
-        missing = [state for state in wanted if state not in found]
-        if len(missing) < len(scaled.directions):
-            hits = _goal_test(scaled, frontier, missing)
-            if hits is not None:
-                for target, state in hits.items():
-                    parents[target] = state
-                    if len(parents) > state_cap:
-                        raise FrontierTooLarge(
-                            f"more than {state_cap} states explored"
-                        )
-                    found[target] = depth
-                break
-        next_frontier = []
-        for state in frontier:
-            for target in scaled.neighbors(state):
-                if target in parents:
-                    continue
-                parents[target] = state
-                if len(parents) > state_cap:
-                    raise FrontierTooLarge(
-                        f"more than {state_cap} states explored"
-                    )
-                next_frontier.append(target)
-                if target in wanted:
-                    found[target] = depth
-        frontier = next_frontier
-        if len(found) == len(wanted):
-            break
-    lengths: dict[Point, int] = {}
-    for state in wanted:
-        if state not in found:
-            raise DepthCapExceeded(
-                f"target not reached within depth {depth_cap}"
-            )
-        lengths[target_of[state]] = found[state]
-    return _Reach(scaled, parents, lengths)
+    breadth-first and the lengths add; ``tree_cap`` applies per block, and
+    no depth or state cap applies.  Endpoints are checked by
+    :func:`dualflow.model.check_vertices`."""
+    return _distance(
+        "edge", graph, costs, source, target, tree_cap, math.inf, math.inf
+    )
 
 
 def circuit_distance(
@@ -424,76 +440,48 @@ def circuit_distance(
     Every circuit lies inside one block, so each block is searched on its
     own and the lengths add.  The caps bound the whole query: each block's
     search gets the depth and the states that the earlier blocks left.
-    An endpoint that is infeasible because the polyhedron is empty raises
-    :class:`InfeasibleInstance`.
+    Endpoints are checked by :func:`dualflow.model.check_vertices`.
     """
-    for point in (source, target):
-        try:
-            vertex = is_vertex(graph, costs, point)  # checks the costs too
-        except InfeasiblePoint:
-            if not feasibility_status(graph, costs).feasible:
-                raise InfeasibleInstance(_NO_VERTEX) from None
-            raise
-        if not vertex:
-            raise NotAVertex(f"{point} is not a vertex")
     if depth_cap is None:
         depth_cap = default_depth_cap(graph)
-    parts = blocks(graph)
-    chains = []
-    for block in parts:
-        goal = block.local(target)
-        reach = _circuit_search(
-            block.graph, block.costs(costs), block.local(source), [goal],
-            depth_cap, state_cap,
-        )
-        depth_cap -= reach.lengths[goal]
-        state_cap -= len(reach.parents)
-        chains.append(reach.chain(goal))
-    points = _walk_through_blocks(graph.node_count, parts, chains)
-    walk = walk_from_points(graph, costs, points, "circuit")
-    return DistanceResult(len(points) - 1, walk)
+    return _distance(
+        "circuit", graph, costs, source, target, DEFAULT_TREE_CAP, depth_cap, state_cap
+    )
 
 
 # ---------------------------------------------------------------------------
 # diameters
 
 
-def _edge_diameter(
-    graph: Digraph, costs: CostVector, tree_cap: int
-) -> tuple[int, tuple[Point, Point]]:
-    skeleton = _skeleton(graph, costs, tree_cap)
-    vertices = skeleton.vertex_set.vertices
-    best, pair = 0, (vertices[0], vertices[0])
-    for src in range(len(vertices)):
-        depths: dict[int, int] = {}
-        for w, parent in bfs_parents(src, skeleton.adjacency.__getitem__).items():
-            depths[w] = 0 if parent is None else depths[parent] + 1
-        if len(depths) < len(vertices):
-            raise NotAVertex("skeleton is disconnected")
-        far = max(depths, key=lambda w: (depths[w], w))
-        if depths[far] > best:
-            best = depths[far]
-            pair = (vertices[src], vertices[far])
-    return best, pair
-
-
-def _circuit_diameter(
-    graph: Digraph, costs: CostVector, tree_cap: int, depth_cap: int, state_cap: int
+def _diameter(
+    mode: str,
+    graph: Digraph,
+    costs: CostVector,
+    tree_cap: int,
+    depth_cap: float,
+    state_cap: float,
 ) -> tuple[int, tuple[Point, Point], int]:
-    """The value, a pair attaining it, and the most states one search held."""
+    """One block's diameter, the pair attaining it, and the most states one
+    search held.  The pair is the first source in vertex order whose
+    eccentricity is the diameter, with the last of its farthest vertices in
+    vertex order."""
     vertices = _vertices(graph, costs, tree_cap).vertices
-    best, pair, states = 0, (vertices[0], vertices[0]), 0
-    for source in vertices:
-        others = [v for v in vertices if v != source]
+    space = _space(mode, graph, costs, tree_cap)
+    states = [space.to_state(vertex) for vertex in vertices]
+    best, pair, held = 0, (vertices[0], vertices[0]), 0
+    for i, source in enumerate(states):
+        others = states[:i] + states[i + 1 :]
         if not others:
             continue
-        reach = _circuit_search(graph, costs, source, others, depth_cap, state_cap)
-        states = max(states, len(reach.parents))
-        for target, length in reach.lengths.items():
-            if length > best:
-                best = length
-                pair = (source, target)
-    return best, pair, states
+        reach = _search(space, source, others, depth_cap, state_cap)
+        held = max(held, len(reach.parents))
+        length = max(reach.depths.values())
+        if length > best:
+            far = max(
+                j for j, state in enumerate(states) if reach.depths.get(state) == length
+            )
+            best, pair = length, (vertices[i], vertices[far])
+    return best, pair, held
 
 
 def diameter(
@@ -509,29 +497,30 @@ def diameter(
 
     Distances add over the blocks and each block's pair can be chosen on its
     own, so the diameter is the sum of the blocks' diameters, attained by
-    the pair joined from the blocks' pairs.  ``tree_cap`` applies per
-    block; in circuit mode each block's searches get the depth that the
-    earlier blocks' diameters left, and the states that their largest
-    searches left.  An infeasible instance has a block without vertices
-    and raises :class:`InfeasibleInstance`.
+    the pair joined from the blocks' pairs.  In both modes a block's pair
+    is the first source in vertex order whose eccentricity is the block's
+    diameter, with the last of its farthest vertices in vertex order.
+    ``tree_cap`` applies per block.  Edge mode
+    reads no depth or state cap; in circuit mode each block's searches get
+    the depth that the earlier blocks' diameters left, and the states that
+    their largest searches left.  An infeasible instance has a block
+    without vertices and raises :class:`InfeasibleInstance`.
     """
     if mode not in ("edge", "circuit"):
         raise ValidationError("mode must be 'edge' or 'circuit'")
     check_costs(graph, costs)
-    if depth_cap is None:
+    if mode == "edge":
+        depth_cap = state_cap = math.inf
+    elif depth_cap is None:
         depth_cap = default_depth_cap(graph)
     parts = blocks(graph)
     total = 0
     ends = []
     for block in parts:
-        block_costs = block.costs(costs)
-        if mode == "edge":
-            value, pair = _edge_diameter(block.graph, block_costs, tree_cap)
-        else:
-            value, pair, states = _circuit_diameter(
-                block.graph, block_costs, tree_cap, depth_cap - total, state_cap
-            )
-            state_cap -= states
+        value, pair, states = _diameter(
+            mode, block.graph, block.costs(costs), tree_cap, depth_cap - total, state_cap
+        )
+        state_cap -= states
         total += value
         ends.append(pair)
     if total == 0:

@@ -1,14 +1,17 @@
 """Constructive walk builders, edge contraction, and walk validation.
 
-Both builders drive the current point toward a fixed spanning tree of the
-target's tight set, one target edge at a time: pivot (or circuit-step) until
-the edge becomes tight, contract it, and continue on the smaller instance.
-Contraction pins the edge so later steps cannot lose it; finished walks are
-stitched back to the original coordinates.
+Both builders are one insertion driver: it drives the current point toward
+the target's lexicographically smallest tight spanning tree, one target
+edge at a time, stepping until the edge becomes tight, contracts it, and
+continues on the smaller instance.  Only the step rule depends on the mode:
+pivots for edge walks, insertion partitions for circuit walks.  Contraction
+pins the edge so later steps cannot lose it; every step also moves the
+point in the original coordinates.
 
-The builders check their endpoints in the instance's rationals, then run on
-its integer view (:class:`dualflow.model.Grid`): pivots, insertion
-partitions, contraction and lifting all work on scaled integers.  Every
+The builders check their endpoints (:func:`dualflow.model.check_vertices`),
+then run on the instance's integer view (:class:`dualflow.model.Grid`):
+pivots, insertion partitions, contraction and lifting all work on scaled
+integers.  Every
 built walk leaves through :func:`walk_from_points`, which re-derives each
 step on the original graph in that view and converts the points and step
 lengths back to :class:`~fractions.Fraction` once.  :func:`validate_walk`
@@ -56,11 +59,11 @@ from .model import (
     bfs_parents,
     check_costs,
     check_spanning_tree,
+    check_vertices,
     component_count,
     connected_in_underlying,
     feasibility_status,
     is_feasible,
-    is_vertex,
     shift_point,
     slack,
     tight_graph,
@@ -366,29 +369,105 @@ def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
     return tree
 
 
-class _ContractionStack:
-    """The contracted instance a builder walks on, and the node of it that
-    each original node merged into.  Lifting is affine with this map as its
-    linear part, so a contracted step moves the original point on the
-    map's preimage of the step's S."""
+def _pivot(
+    graph: Digraph, costs: CostVector, point: Point, edge_index: int, deleted: list[int]
+) -> tuple[PartitionCircuit, int, SignedStep]:
+    """The edge walks' step rule: pivot along the split at the last
+    backward edge of the current tree on the path from the edge's tail to
+    its head.  Any tie reveals degeneracy and aborts.  ``deleted`` holds
+    the edges this phase pivoted out, one per pivot; none may come back."""
+    goal_tail, goal_head = graph.edges[edge_index]
+    tight = tight_graph(graph, costs, point)
+    if len(tight) != graph.node_count - 1:
+        raise DegenerateInstance(
+            "a walk vertex carries extra tight edges; perturb the costs"
+        )
+    dropped, start_side, goal_side = last_backward_edge(
+        graph, tight, goal_tail, goal_head
+    )
+    if ANCHOR in start_side:
+        circuit, sign = PartitionCircuit(goal_side), 1
+    else:
+        circuit, sign = PartitionCircuit(start_side), -1
+    try:
+        step = _max_step(graph, costs, point, circuit, sign)
+    except NotApplicable as exc:
+        raise DegenerateInstance(
+            "pivot blocked by an already-tight edge; perturb the costs"
+        ) from exc
+    if len(step.entering_edges) > 1:
+        raise DegenerateInstance(
+            "pivot tightened several inequalities at once; perturb the costs"
+        )
+    if step.entering_edges.intersection(deleted):
+        raise InternalInvariant("re-inserted a deleted edge")
+    deleted.append(dropped)
+    n = graph.node_count
+    if len(deleted) > min(graph.edge_count, n * (n - 1) // 2):
+        raise InternalInvariant("pivot phase exceeded its guaranteed bound")
+    return circuit, sign, step
 
-    def __init__(self, graph: Digraph, costs: CostVector):
-        self.graph = graph
-        self.costs = costs
-        self.node_map = tuple(range(graph.node_count))
 
-    def preimage(self, s_set: frozenset[int]) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.node_map) if x in s_set)
+def _insertion_step(
+    graph: Digraph,
+    costs: CostVector,
+    point: Point,
+    edge_index: int,
+    reaches: list[frozenset[int]],
+) -> tuple[PartitionCircuit, int, SignedStep]:
+    """The circuit walks' step rule: the maximal step along the insertion
+    partition, whose goal side is the reach set, the nodes with a tight
+    directed path into the edge's head.  ``reaches`` holds the reach set of
+    each earlier step of the phase; it must grow every step."""
+    circuit, sign, reach = _insertion_partition(graph, costs, point, edge_index)
+    if reaches and not reach > reaches[-1]:
+        raise InternalInvariant("insertion step did not grow the reach set")
+    reaches.append(reach)
+    if len(reaches) > graph.node_count - 1:
+        raise InternalInvariant("insertion phase exceeded its guaranteed bound")
+    return circuit, sign, _max_step(graph, costs, point, circuit, sign)
 
-    def contract(self, point: Point, remaining: list[int]) -> tuple[Point, list[int]]:
-        """Contract ``remaining[0]``, which is tight at the feasible point;
-        return the point and the other remaining edges after contraction."""
-        self.graph, self.costs, record = _contract(self.graph, self.costs, remaining[0])
-        self.node_map = tuple(record.node_map[x] for x in self.node_map)
+
+def _insertion_walk(
+    graph: Digraph, costs: CostVector, source: Point, target: Point, mode: str, step_rule
+) -> Walk:
+    """The walk that inserts each edge of the target's lexicographically
+    smallest tight spanning tree in turn: steps by ``step_rule`` until the
+    edge is tight, then contracts it.  The rule gets a list that it keeps
+    for the rest of the phase.  Runs on the grid; the endpoints are
+    vertices.
+
+    The contracted node each original node merged into is kept as a map.
+    Lifting is affine with this map as its linear part, so a contracted
+    step moves the original point on the map's preimage of the step's S.
+    """
+    if source == target:
+        return Walk((source,), (), mode)
+    grid = Grid(costs)
+    current, goal = (Point(grid.to_state(point)) for point in (source, target))
+    remaining = _lexmin_tree(graph, tight_graph(graph, grid.costs, goal))
+    walked, walked_costs = graph, grid.costs
+    node_map = tuple(range(graph.node_count))
+    points = [current]
+    while remaining:
+        phase: list = []
+        while slack(walked, walked_costs, current, remaining[0]) != 0:
+            circuit, sign, step = step_rule(
+                walked, walked_costs, current, remaining[0], phase
+            )
+            delta = sign * step.epsilon
+            current = shift_point(current, circuit.s_set, delta)
+            moved = frozenset(v for v, x in enumerate(node_map) if x in circuit.s_set)
+            points.append(shift_point(points[-1], moved, delta))
+        walked, walked_costs, record = _contract(walked, walked_costs, remaining[0])
+        node_map = tuple(record.node_map[x] for x in node_map)
         remaining = [record.edge_map[i] for i in remaining[1:]]
         if None in remaining:
             raise InternalInvariant("a target edge collapsed")
-        return project_point(record, point), remaining
+        current = project_point(record, current)
+    if points[-1] != goal:
+        raise InternalInvariant(f"{mode} walk did not terminate at the target")
+    return _grid_walk(graph, grid, points, mode)
 
 
 def edge_walk(
@@ -399,66 +478,13 @@ def edge_walk(
     Repeatedly inserts the next missing target-tree edge by pivoting along
     the split at the last backward edge of the current tree, then contracts
     the inserted edge.  Any tie among entering inequalities reveals
-    degeneracy and aborts.
+    degeneracy and aborts, and so does a target with extra tight edges.
+    Endpoints are checked by :func:`dualflow.model.check_vertices`.
     """
-    for point in (source, target):
-        if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{point} is not a vertex")
-    grid = Grid(costs)
-    current, goal = (Point(grid.to_state(point)) for point in (source, target))
-    target_tight = tight_graph(graph, grid.costs, goal)
+    _, target_tight = check_vertices(graph, costs, source, target)
     if len(target_tight) != graph.node_count - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
-    if source == target:
-        return Walk((source,), (), "edge")
-    stack = _ContractionStack(graph, grid.costs)
-    remaining = sorted(target_tight)
-    points = [current]
-    while remaining:
-        rs = remaining[0]
-        goal_tail, goal_head = stack.graph.edges[rs]
-        seen_pivots = 0
-        deleted: set[int] = set()
-        bound = min(
-            stack.graph.edge_count,
-            stack.graph.node_count * (stack.graph.node_count - 1) // 2,
-        )
-        while slack(stack.graph, stack.costs, current, rs) != 0:
-            tight = tight_graph(stack.graph, stack.costs, current)
-            if len(tight) != stack.graph.node_count - 1:
-                raise DegenerateInstance(
-                    "a walk vertex carries extra tight edges; perturb the costs"
-                )
-            dropped, start_side, goal_side = last_backward_edge(
-                stack.graph, tight, goal_tail, goal_head
-            )
-            if ANCHOR in start_side:
-                circuit, sign = PartitionCircuit(goal_side), 1
-            else:
-                circuit, sign = PartitionCircuit(start_side), -1
-            try:
-                step = _max_step(stack.graph, stack.costs, current, circuit, sign)
-            except NotApplicable as exc:
-                raise DegenerateInstance(
-                    "pivot blocked by an already-tight edge; perturb the costs"
-                ) from exc
-            if len(step.entering_edges) > 1:
-                raise DegenerateInstance(
-                    "pivot tightened several inequalities at once; perturb the costs"
-                )
-            if step.entering_edges & deleted:
-                raise InternalInvariant("re-inserted a deleted edge")
-            deleted.add(dropped)
-            delta = sign * step.epsilon
-            current = shift_point(current, circuit.s_set, delta)
-            points.append(shift_point(points[-1], stack.preimage(circuit.s_set), delta))
-            seen_pivots += 1
-            if seen_pivots > bound:
-                raise InternalInvariant("pivot phase exceeded its guaranteed bound")
-        current, remaining = stack.contract(current, remaining)
-    if points[-1] != goal:
-        raise InternalInvariant("edge walk did not terminate at the target")
-    return _grid_walk(graph, grid, points, "edge")
+    return _insertion_walk(graph, costs, source, target, "edge", _pivot)
 
 
 def circuit_walk(
@@ -468,41 +494,11 @@ def circuit_walk(
 
     Inserts each target-tree edge with at most ``nodes - 1`` maximal steps
     (the set of nodes that reach the edge's head by tight directed paths
-    grows every step), contracting after every insertion.
+    grows every step), contracting after every insertion.  Endpoints are
+    checked by :func:`dualflow.model.check_vertices`.
     """
-    for point in (source, target):
-        if not is_vertex(graph, costs, point):
-            raise NotAVertex(f"{point} is not a vertex")
-    if source == target:
-        return Walk((source,), (), "circuit")
-    grid = Grid(costs)
-    current, goal = (Point(grid.to_state(point)) for point in (source, target))
-    stack = _ContractionStack(graph, grid.costs)
-    remaining = _lexmin_tree(graph, tight_graph(graph, grid.costs, goal))
-    points = [current]
-    while remaining:
-        rs = remaining[0]
-        reach = None
-        steps_in_phase = 0
-        while slack(stack.graph, stack.costs, current, rs) != 0:
-            # the partition's goal side is the reach set at the current point
-            circuit, sign, grown = _insertion_partition(
-                stack.graph, stack.costs, current, rs
-            )
-            if reach is not None and not grown > reach:
-                raise InternalInvariant("insertion step did not grow the reach set")
-            reach = grown
-            step = _max_step(stack.graph, stack.costs, current, circuit, sign)
-            delta = sign * step.epsilon
-            current = shift_point(current, circuit.s_set, delta)
-            points.append(shift_point(points[-1], stack.preimage(circuit.s_set), delta))
-            steps_in_phase += 1
-            if steps_in_phase > stack.graph.node_count - 1:
-                raise InternalInvariant("insertion phase exceeded its guaranteed bound")
-        current, remaining = stack.contract(current, remaining)
-    if points[-1] != goal:
-        raise InternalInvariant("circuit walk did not terminate at the target")
-    return _grid_walk(graph, grid, points, "circuit")
+    check_vertices(graph, costs, source, target)
+    return _insertion_walk(graph, costs, source, target, "circuit", _insertion_step)
 
 
 # ---------------------------------------------------------------------------

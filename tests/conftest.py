@@ -53,6 +53,18 @@ def random_sub_tournament(
         return graph, tuple(costs)
 
 
+def circuit_search(graph, costs, source, targets, depth_cap, state_cap):
+    """The circuit oracle's breadth-first search over one instance's grid
+    points, not split into blocks, from a point to points."""
+    from dualflow.oracle import _scaled_instance, _search
+
+    space = _scaled_instance(graph, costs)
+    return _search(
+        space, space.to_state(source), [space.to_state(t) for t in targets],
+        depth_cap, state_cap,
+    )
+
+
 def rational_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a rational matrix by Gaussian elimination (independent of the
     package's own linear algebra, which there is none of)."""

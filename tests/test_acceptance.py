@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import dualflow as df
-from conftest import random_sub_tournament
+from conftest import circuit_search, random_sub_tournament
 
 SWEEP_SEED = 20260809
 SWEEP_INSTANCES = 200
@@ -59,7 +59,7 @@ class InstanceRecord:
 def sweep():
     """Builders, oracles, and validations for every ordered vertex pair of
     200 seeded random sub-tournaments on three to six nodes."""
-    from dualflow.oracle import _circuit_search, default_depth_cap
+    from dualflow.oracle import default_depth_cap
 
     rng = random.Random(SWEEP_SEED)
     records: list[InstanceRecord] = []
@@ -77,7 +77,7 @@ def sweep():
             targets = [v for v in vertices if v != source]
             if not targets:
                 continue
-            reach = _circuit_search(
+            reach = circuit_search(
                 graph, costs, source, targets, default_depth_cap(graph), 10**6
             )
             for target, length in reach.lengths.items():
@@ -317,7 +317,7 @@ def test_criterion_10_contraction_face_bijection():
 
 
 def test_criterion_11_degenerate_instances():
-    from dualflow.oracle import _circuit_search, default_depth_cap
+    from dualflow.oracle import default_depth_cap
 
     with criterion(11, "degenerate instances", 30.0):
         rng = random.Random(SWEEP_SEED + 11)
@@ -331,7 +331,7 @@ def test_criterion_11_degenerate_instances():
                 targets = [v for v in vertices if v != source]
                 if not targets:
                     continue
-                reach = _circuit_search(
+                reach = circuit_search(
                     graph, costs, source, targets, default_depth_cap(graph), 10**6
                 )
                 for target in targets:

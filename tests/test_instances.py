@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 import dualflow as df
 from conftest import random_sub_tournament
 from dualflow.model import DEFAULT_TREE_CAP, _tree_vertex_set
-from dualflow.oracle import (
-    DEFAULT_STATE_CAP,
-    _circuit_diameter,
-    _edge_diameter,
-    default_depth_cap,
-)
+from dualflow.oracle import DEFAULT_STATE_CAP, _diameter, default_depth_cap
 
 
 TRIANGLE = (df.Digraph(3, ((0, 1), (1, 2), (2, 0))), df.cost_vector([1, 1, 1]))
@@ -158,9 +153,11 @@ def test_glue_is_a_product(seed, sizes, integer_costs):
     assert len(_tree_vertex_set(glued, costs, DEFAULT_TREE_CAP).vertices) == count
     depth_cap = default_depth_cap(glued)
     whole = {
-        "edge": _edge_diameter(glued, costs, DEFAULT_TREE_CAP)[0],
-        "circuit": _circuit_diameter(
-            glued, costs, DEFAULT_TREE_CAP, depth_cap, DEFAULT_STATE_CAP
+        "edge": _diameter(
+            "edge", glued, costs, DEFAULT_TREE_CAP, math.inf, math.inf
+        )[0],
+        "circuit": _diameter(
+            "circuit", glued, costs, DEFAULT_TREE_CAP, depth_cap, DEFAULT_STATE_CAP
         )[0],
     }
     for mode in ("edge", "circuit"):

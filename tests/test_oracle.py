@@ -9,9 +9,9 @@ from functools import lru_cache
 import pytest
 
 import dualflow as df
-from conftest import geometric_adjacency, random_sub_tournament
+from conftest import circuit_search, geometric_adjacency, random_sub_tournament
 from dualflow.model import blocks, component_count, join_points
-from dualflow.oracle import _circuit_search, default_depth_cap
+from dualflow.oracle import default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
 WALK_POINTS = [
@@ -266,7 +266,7 @@ def test_goal_tested_search_matches_full_expansion():
         single = [[t] for t in rng.sample(others, min(3, len(others)))]
         for targets in single + [others]:
             lengths, chains, parents = reference_search(graph, costs, source, targets)
-            reach = _circuit_search(
+            reach = circuit_search(
                 graph, costs, source, targets, default_depth_cap(graph), 10**6
             )
             assert reach.lengths == lengths
@@ -433,7 +433,8 @@ def test_diameter_rejects_unknown_mode(example):
 @pytest.mark.parametrize("mode", ["edge", "circuit"])
 def test_diameter_of_an_infeasible_instance(example, mode):
     """A negative-cost cycle leaves its block without vertices, on its own
-    or glued to a feasible block."""
+    or glued to a feasible block; the distances and the builders say so
+    too."""
     cycle = df.Digraph(3, ((0, 1), (1, 2), (2, 0)))
     cycle_costs = df.cost_vector([1, 1, -3])
     graph, costs = example
@@ -444,16 +445,45 @@ def test_diameter_of_an_infeasible_instance(example, mode):
         source = df.Point((0,) * instance[0].node_count)
         target = df.Point((0,) + (1,) * (instance[0].node_count - 1))
         distance = df.combinatorial_distance if mode == "edge" else df.circuit_distance
-        with pytest.raises(df.InfeasibleInstance):
-            distance(*instance, source, target)
+        walk = df.edge_walk if mode == "edge" else df.circuit_walk
+        for use in (distance, walk):
+            with pytest.raises(df.InfeasibleInstance):
+                use(*instance, source, target)
+
+
+ENDPOINT_USERS = [
+    df.combinatorial_distance, df.circuit_distance, df.edge_walk, df.circuit_walk
+]
+
+
+@pytest.mark.parametrize("use", ENDPOINT_USERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "point, error",
+    [
+        ((0, 5, 0, 0), df.InfeasiblePoint),
+        ((0, 0, 0), df.DimensionMismatch),
+        ((0, "1/3", "2/3", 1), df.NotAVertex),
+    ],
+    ids=["infeasible", "wrong-length", "non-vertex"],
+)
+def test_one_endpoint_check(example, near_vertex, use, point, error):
+    """Both distance oracles and both builders reject a bad endpoint, on
+    either end, with the same error."""
+    graph, costs = example
+    bad = df.Point.of(*point)
+    for source, target in ((near_vertex, bad), (bad, near_vertex)):
+        with pytest.raises(error):
+            use(graph, costs, source, target)
 
 
 def test_point_messages_print_rationals(example, near_vertex):
     graph, costs = example
     assert str(df.Point.of(0, "2/3", "4/3", 2)) == "(0, 2/3, 4/3, 2)"
     with pytest.raises(df.NotAVertex) as caught:
+        df.combinatorial_distance(graph, costs, near_vertex, df.Point.of(0, "1/3", "2/3", 1))
+    assert str(caught.value) == "(0, 1/3, 2/3, 1) is not a vertex"
+    with pytest.raises(df.InfeasiblePoint):
         df.combinatorial_distance(graph, costs, near_vertex, df.Point.of(0, "1/2", 0, 0))
-    assert str(caught.value) == "(0, 1/2, 0, 0) is not an enumerated vertex"
 
 
 # ---------------------------------------------------------------------------
@@ -612,20 +642,50 @@ def test_tree_cap_counts_every_spanning_tree():
     assert len(df.enumerate_vertices(graph, costs, tree_cap=51).vertices) == 14
 
 
+def circuit_reference(graph, costs, vertices) -> dict:
+    """Every ordered pair of distinct vertices' circuit distance, from the
+    whole graph's search."""
+    reference = {}
+    for source in vertices:
+        others = [v for v in vertices if v != source]
+        if others:
+            reach = circuit_search(
+                graph, costs, source, others, default_depth_cap(graph), 10**6
+            )
+            for target, length in reach.lengths.items():
+                reference[source, target] = length
+    return reference
+
+
+def edge_reference(graph, costs, vertices) -> dict:
+    """Every ordered pair of vertices' edge distance, by breadth-first
+    search over the rank-based adjacency."""
+    neighbors: dict = {u: [] for u in vertices}
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1 :]:
+            if geometric_adjacency(graph, costs, u, v):
+                neighbors[u].append(v)
+                neighbors[v].append(u)
+    reference = {}
+    for source in vertices:
+        depth = {source: 0}
+        queue = [source]
+        for v in queue:
+            for w in neighbors[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        for target, length in depth.items():
+            reference[source, target] = length
+    return reference
+
+
 def test_decomposed_circuit_distances_match_whole_graph_search():
     rng = random.Random(67)
     pairs = 0
     for graph, costs in cut_vertex_instances():
         vertices = df.enumerate_vertices(graph, costs).vertices
-        reference = {}
-        for source in vertices:
-            others = [v for v in vertices if v != source]
-            if others:
-                reach = _circuit_search(
-                    graph, costs, source, others, default_depth_cap(graph), 10**6
-                )
-                for target, length in reach.lengths.items():
-                    reference[source, target] = length
+        reference = circuit_reference(graph, costs, vertices)
         for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
             result = df.circuit_distance(graph, costs, source, target)
             assert result.length == reference[source, target]
@@ -645,23 +705,7 @@ def test_decomposed_edge_distances_match_geometric_skeleton():
     pairs = 0
     for graph, costs in cut_vertex_instances():
         vertices = df.enumerate_vertices(graph, costs).vertices
-        neighbors: dict = {u: [] for u in vertices}
-        for i, u in enumerate(vertices):
-            for v in vertices[i + 1 :]:
-                if geometric_adjacency(graph, costs, u, v):
-                    neighbors[u].append(v)
-                    neighbors[v].append(u)
-        reference = {}
-        for source in vertices:
-            depth = {source: 0}
-            queue = [source]
-            for v in queue:
-                for w in neighbors[v]:
-                    if w not in depth:
-                        depth[w] = depth[v] + 1
-                        queue.append(w)
-            for target, length in depth.items():
-                reference[source, target] = length
+        reference = edge_reference(graph, costs, vertices)
         for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
             result = df.combinatorial_distance(graph, costs, source, target)
             assert result.length == reference[source, target]
@@ -672,6 +716,45 @@ def test_decomposed_edge_distances_match_geometric_skeleton():
         if result.value:
             assert reference[result.pair] == result.value
     assert pairs >= 200
+
+
+def rule_pair(vertices, reference):
+    """The pair the diameter rule picks from all-pairs distances: the first
+    source in vertex order whose eccentricity is the diameter, with the
+    last of its farthest vertices in vertex order; None for diameter 0."""
+    value = max((reference[u, v] for u in vertices for v in vertices if u != v), default=0)
+    if value == 0:
+        return None
+    for source in vertices:
+        farthest = [t for t in vertices if t != source and reference[source, t] == value]
+        if farthest:
+            return source, farthest[-1]
+
+
+def two_connected_instances() -> list:
+    """The example, bipartite 2x3, 3x3 and 2x5, and seeded 2-connected
+    sub-tournaments on three to six nodes."""
+    made = [df.example_graph()]
+    for m, n in ((2, 3), (3, 3), (2, 5)):
+        made.append(df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7)))
+    rng = random.Random(79)
+    while len(made) < 24:
+        graph, costs = random_sub_tournament(rng, rng.randint(3, 6))
+        if len(blocks(graph)) == 1:
+            made.append((graph, costs))
+    return made
+
+
+@pytest.mark.parametrize("mode", ["edge", "circuit"])
+def test_diameter_pair_follows_the_rule(mode):
+    """Both modes pick the diameter's pair by one rule, ties included."""
+    references = {"edge": edge_reference, "circuit": circuit_reference}
+    for graph, costs in two_connected_instances():
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        reference = references[mode](graph, costs, vertices)
+        result = df.diameter(graph, costs, mode)
+        assert result.value == max(reference.values(), default=0)
+        assert result.pair == rule_pair(vertices, reference)
 
 
 GK_NEAR = (0, 0, 0)
@@ -713,14 +796,14 @@ def test_goal_test_stores_a_tenth_of_the_bipartite_3x4_search():
     vertices = df.enumerate_vertices(graph, costs).vertices
     source, target = vertices[0], vertices[-1]
     depth_cap = default_depth_cap(graph)
-    reach = _circuit_search(graph, costs, source, [target], depth_cap, 10**6)
+    reach = circuit_search(graph, costs, source, [target], depth_cap, 10**6)
     assert reach.lengths[target] == 4
     stored = len(reach.parents)
     assert stored < 22_924
-    capped = _circuit_search(graph, costs, source, [target], depth_cap, stored)
+    capped = circuit_search(graph, costs, source, [target], depth_cap, stored)
     assert capped.lengths == {target: 4}
     with pytest.raises(df.FrontierTooLarge):
-        _circuit_search(graph, costs, source, [target], depth_cap, stored - 1)
+        circuit_search(graph, costs, source, [target], depth_cap, stored - 1)
 
 
 def test_bipartite_4x4_circuit_distance_within_default_caps():
