@@ -645,6 +645,119 @@ def test_validate_edge_mode_needs_vertices(example, near_vertex):
     assert "not a vertex" in report.violation
 
 
+def _move(s_set, sign, epsilon, entering):
+    return df.SignedStep(
+        df.PartitionCircuit(frozenset(s_set)), sign, Fraction(epsilon), frozenset(entering)
+    )
+
+
+# From the example's vertex (0, 0, 0, 0), raising node 3 alone is a maximal
+# step of 10/9 that makes edge 8 = (2, 3) tight.
+_UP_3 = _move({3}, 1, "10/9", {8})
+_AT_UP_3 = (0, 0, 0, "10/9")
+
+# name -> (graph or None for the example, points, steps, mode, violation)
+BAD_WALKS = {
+    "wrong dimension": (
+        None, [(0, 0, 0, 0), (0, 0, 0)], [_UP_3], "circuit",
+        "point 1 has the wrong dimension",
+    ),
+    "infeasible": (
+        None, [(0, 0, 0, 0), (0, 0, 0, 3)], [_move({3}, 1, 3, {8})], "circuit",
+        "point 1 is infeasible",
+    ),
+    "does not move": (
+        None, [(0, 0, 0, 0), (0, 0, 0, 0)], [_UP_3], "circuit",
+        "step 0 does not move",
+    ),
+    "0/1 direction": (
+        None, [(0, 0, 0, 0), (0, 1, "4/3", 1)], [_UP_3], "circuit",
+        "step 0 is not a multiple of a 0/1 direction",
+    ),
+    "wrong node set": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_move({2}, 1, "10/9", {8})], "circuit",
+        "step 0 moves the wrong node set",
+    ),
+    "invalid circuit": (
+        # node 1 alone splits the path 0 - 1 - 2 into S and a disconnected rest
+        df.Digraph(3, ((0, 1), (1, 0), (1, 2), (2, 1))),
+        [(0, 0, 0), (0, 1, 0)], [_move({1}, 1, 1, {0})], "circuit",
+        "step 0 uses an invalid circuit",
+    ),
+    "wrong sign": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_move({3}, -1, "10/9", {8})], "circuit",
+        "step 0 disagrees with its record",
+    ),
+    "wrong length": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_move({3}, 1, 1, {8})], "circuit",
+        "step 0 disagrees with its record",
+    ),
+    "unbounded": (
+        # nothing leaves node 1, so lowering it never makes an edge tight
+        df.Digraph(2, ((0, 1),)), [(0, 0), (0, -1)], [_move({1}, -1, 1, ())], "circuit",
+        "step 0 is impossible: no edge bounds this direction",
+    ),
+    # A blocking edge that is tight before the step goes negative after it,
+    # so the point check fires first and "step k is impossible: a blocking
+    # edge is already tight" cannot be reached.
+    "blocked by a tight edge": (
+        None, [_AT_UP_3, (0, 0, 0, "19/9")], [_move({3}, 1, 1, {8})], "circuit",
+        "point 1 is infeasible",
+    ),
+    "not maximal": (
+        None, [(0, 0, 0, 0), (0, 0, 0, "5/9")], [_move({3}, 1, "5/9", {8})], "circuit",
+        "step 0 is not maximal",
+    ),
+    "wrong entering edges": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_move({3}, 1, "10/9", {5})], "circuit",
+        "step 0 records wrong entering edges",
+    ),
+    "extra entering edge": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_move({3}, 1, "10/9", {5, 8})], "circuit",
+        "step 0 records wrong entering edges",
+    ),
+    "not a vertex": (
+        None, [(0, 0, 0, 0), _AT_UP_3], [_UP_3], "edge",
+        "point 1 is not a vertex",
+    ),
+    "not adjacent": (
+        # one maximal circuit step joins these vertices, but their common
+        # tight edges leave three components
+        None, [(0, -1, 0, "1/3"), (0, "1/3", "4/3", "1/3")],
+        [_move({1, 2}, 1, "4/3", {2, 4})], "edge",
+        "points 0 and 1 are not adjacent vertices",
+    ),
+    # the first check that fails wins: every point before any step, every
+    # step before the vertex checks
+    "infeasible after a bad step": (
+        None, [(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 3)],
+        [_UP_3, _move({3}, 1, 3, {8})], "circuit",
+        "point 2 is infeasible",
+    ),
+    "bad step before a non-vertex": (
+        None, [(0, 0, 0, 0), _AT_UP_3, (0, 0, 0, "5/9")],
+        [_UP_3, _move({3}, -1, "5/9", {6})], "edge",
+        "step 1 is not maximal",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_WALKS))
+def test_validate_pins_every_violation(name, example):
+    graph, points, steps, mode, violation = BAD_WALKS[name]
+    costs = example[1] if graph is None else (Fraction(1),) * graph.edge_count
+    walk = df.Walk(tuple(df.Point.of(*p) for p in points), tuple(steps), mode)
+    report = df.validate_walk(graph or example[0], costs, walk)
+    assert report == df.WalkValidation(False, violation)
+
+
+def test_validate_rejects_a_wrong_cost_count(example, near_vertex):
+    graph, costs = example
+    walk = df.Walk((near_vertex,), (), "circuit")
+    with pytest.raises(df.DimensionMismatch):
+        df.validate_walk(graph, costs[:-1], walk)
+
+
 # ---------------------------------------------------------------------------
 # perturbation
 
