@@ -586,8 +586,9 @@ def check_vertices(
     """The endpoint check of the distance oracles and the walk builders:
     raise unless every point is a vertex, and return each point's tight
     set.  A wrong length raises :class:`DimensionMismatch`, an infeasible
-    point :class:`InfeasiblePoint` (or :class:`InfeasibleInstance` when the
-    polyhedron is empty) and a feasible non-vertex :class:`NotAVertex`.
+    point :class:`InfeasiblePoint` naming its first violated edge (or
+    :class:`InfeasibleInstance` when the polyhedron is empty) and a feasible
+    non-vertex :class:`NotAVertex`.
     Runs on a :class:`Grid` fine enough for the points too."""
     grid = Grid(costs, points)
     tights = []
@@ -598,7 +599,12 @@ def check_vertices(
         except InfeasiblePoint:
             if not feasibility_status(graph, costs).feasible:
                 raise InfeasibleInstance(_NO_VERTEX) from None
-            raise
+            i = next(i for i in range(graph.edge_count) if slack(graph, costs, point, i) < 0)
+            tail, head = graph.edges[i]
+            raise InfeasiblePoint(
+                f"{point} is infeasible: edge {i} ({tail} -> {head}) has slack "
+                f"{rational_str(slack(graph, costs, point, i))}"
+            ) from None
         if component_count(graph.node_count, [graph.edges[i] for i in tight]) != 1:
             raise NotAVertex(f"{point} is not a vertex")
         tights.append(tight)

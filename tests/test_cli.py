@@ -319,6 +319,28 @@ def test_not_a_vertex_message_prints_rationals(example_file):
     assert "error [not-a-vertex]: (0, 1/3, 1/3, 1/3) is not a vertex\n" in text
 
 
+@pytest.mark.parametrize("command", ["distance", "walk"])
+@pytest.mark.parametrize("mode", ["edge", "circuit"])
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("0,5,0,0", "(0, 5, 0, 0) is infeasible: edge 2 (3 -> 1) has slack -5"),
+        ("0,0,3/2,0", "(0, 0, 3/2, 0) is infeasible: edge 4 (0 -> 2) has slack -1/6"),
+    ],
+    ids=["integer", "rational"],
+)
+def test_infeasible_point_names_its_first_violated_edge(
+    example_file, command, mode, point, message
+):
+    argv = [command, example_file, "--mode", mode, "--source-point", "0,0,0,0"]
+    code, text = invoke([*argv, "--target-point", point, "--json"])
+    assert code == 1
+    assert json.loads(text)["error"] == {"code": "infeasible-point", "message": message}
+    code, text = invoke([*argv, "--target-point", point])
+    assert code == 1
+    assert f"error [infeasible-point]: {message}\n" in text
+
+
 def test_directory_input_is_usage_error(tmp_path, capsys):
     code, text = invoke(["vertices", str(tmp_path)])
     assert code == 2

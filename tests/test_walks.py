@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -756,6 +757,85 @@ def test_validate_rejects_a_wrong_cost_count(example, near_vertex):
     walk = df.Walk((near_vertex,), (), "circuit")
     with pytest.raises(df.DimensionMismatch):
         df.validate_walk(graph, costs[:-1], walk)
+
+
+def _step_code_called(*args, **kwargs):
+    raise AssertionError("validate_walk ran step code")
+
+
+def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
+    """Built walks validate with the builders' step code and the model's
+    feasibility and tightness helpers all broken: the validator derives its
+    verdict from the points and records alone."""
+    built = []
+    for k in (1, 3):
+        graph, costs = df.family_gk(k)
+        source, target = (
+            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
+        )
+        for builder in (df.edge_walk, df.circuit_walk):
+            built += [(graph, costs, builder(graph, costs, a, b)) for a, b in
+                      ((source, target), (target, source))]
+    for name in (
+        "dualflow.circuits._max_step",
+        "dualflow.circuits._blocking_edges",
+        "dualflow.circuits.is_feasible",
+        "dualflow.walks._max_step",
+        "dualflow.walks.tight_graph",
+        "dualflow.walks.is_feasible",
+        "dualflow.model.tight_graph",
+        "dualflow.model.is_feasible",
+    ):
+        monkeypatch.setattr(name, _step_code_called)
+    for graph, costs, walk in built:
+        assert walk.length > 0
+        assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+
+
+def _corruptions(graph, step):
+    """Each way of falsifying one step's record, with the violation it must
+    raise.  The blocking edges are recomputed here from their definition."""
+    s_set, sign = step.circuit.s_set, step.sign
+    blocking = {
+        i for i, (tail, head) in enumerate(graph.edges)
+        if (head if sign > 0 else tail) in s_set and (tail if sign > 0 else head) not in s_set
+    }
+    for i in sorted(step.entering_edges):
+        yield "drop an entering edge", replace(
+            step, entering_edges=step.entering_edges - {i}
+        ), "records wrong entering edges"
+    for i in sorted(set(range(graph.edge_count)) - blocking)[:3]:
+        yield "add a non-blocking edge", replace(
+            step, entering_edges=step.entering_edges | {i}
+        ), "records wrong entering edges"
+    yield "flip the sign", replace(step, sign=-sign), "disagrees with its record"
+    for v in sorted(set(range(1, graph.node_count)) - s_set)[:2]:
+        yield "add a node to S", replace(
+            step, circuit=df.PartitionCircuit(s_set | {v})
+        ), "moves the wrong node set"
+
+
+def test_validate_rejects_every_corrupted_record():
+    rng = random.Random(2014)
+    seen = {}
+    for trial in range(30):
+        graph, costs = random_sub_tournament(rng, rng.randint(3, 6), integer_costs=trial % 3 == 0)
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        if len(vertices) < 2:
+            continue
+        source, target = rng.sample(vertices, 2)
+        walks = [df.circuit_walk(graph, costs, source, target)]
+        if df.degeneracy_report(graph, costs).nondegenerate:
+            walks.append(df.edge_walk(graph, costs, source, target))
+        for walk in walks:
+            assert df.validate_walk(graph, costs, walk).valid
+            for k, step in enumerate(walk.steps):
+                for kind, bad, violation in _corruptions(graph, step):
+                    steps = walk.steps[:k] + (bad,) + walk.steps[k + 1:]
+                    report = df.validate_walk(graph, costs, replace(walk, steps=steps))
+                    assert report == df.WalkValidation(False, f"step {k} {violation}"), kind
+                    seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 # ---------------------------------------------------------------------------
