@@ -549,11 +549,16 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
             shifts.append(shift)
             s, recomputed = slacks[-1].copy(), []
             for v, d in shift.items():
+                # an edge with both ends moved is updated here, at its head
                 for i in into[v]:
-                    d_tail = shift.get(edges[i][0], 0)
-                    if d_tail != d:
+                    d_tail = shift.get(edges[i][0])
+                    if d_tail is None:
+                        s[i] -= d
+                    elif d_tail != d:
                         s[i] -= d - d_tail
-                        recomputed.append(i)
+                    else:
+                        continue
+                    recomputed.append(i)
                 for i in out[v]:
                     if edges[i][1] not in shift:
                         s[i] += d

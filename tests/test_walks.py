@@ -667,6 +667,12 @@ BAD_WALKS = {
         None, [(0, 0, 0, 0), (0, 0, 0, 3)], [_move({3}, 1, 3, {8})], "circuit",
         "point 1 is infeasible",
     ),
+    "infeasible between moved nodes": (
+        # only edges 5 = (1, 3) and 7 = (1, 2) are violated, and both ends
+        # of each moved, by different amounts
+        None, [(0, 0, 0, 0), (0, -2, "1/6", "1/6")], [_UP_3], "circuit",
+        "point 1 is infeasible",
+    ),
     "does not move": (
         None, [(0, 0, 0, 0), (0, 0, 0, 0)], [_UP_3], "circuit",
         "step 0 does not move",
