@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 import dualflow as df
@@ -57,6 +59,83 @@ def test_partitions_both_sides_connected():
             if df.is_valid_circuit(graph, subset):
                 count += 1
         assert count == len(df.enumerate_partitions(graph))
+
+
+def _reference_instances():
+    instances = [
+        ("example", df.example_graph()),
+        ("gk2", df.family_gk(2)),
+        ("bipartite-2x3", df.complete_bipartite(2, 3, df.random_bipartite_costs(2, 3, 7))),
+        ("bipartite-3x3", df.complete_bipartite(3, 3, df.random_bipartite_costs(3, 3, 7))),
+    ]
+    for seed in range(20):
+        rng = random.Random(seed)
+        instances.append((f"random-{seed}", random_sub_tournament(rng, 2 + seed % 6)))
+    return instances
+
+
+REFERENCE_INSTANCES = _reference_instances()
+RANDOM_INSTANCES = [item for item in REFERENCE_INSTANCES if item[0].startswith("random")]
+
+
+def _nx_connected(graph, nodes):
+    """networkx's verdict on the underlying subgraph induced by the nodes."""
+    underlying = nx.MultiGraph()
+    underlying.add_nodes_from(range(graph.node_count))
+    underlying.add_edges_from(graph.edges)
+    return bool(nodes) and nx.is_connected(underlying.subgraph(nodes))
+
+
+@pytest.mark.parametrize(
+    "graph,_costs",
+    [instance for _, instance in REFERENCE_INSTANCES],
+    ids=[name for name, _ in REFERENCE_INSTANCES],
+)
+def test_valid_circuits_match_networkx(graph, _costs):
+    """Independent reference: a subset S of the non-anchor nodes is a
+    circuit iff networkx finds both S and its complement connected."""
+    nodes = set(range(graph.node_count))
+    others = range(1, graph.node_count)
+    valid = []
+    for size in range(1, graph.node_count):
+        for combo in itertools.combinations(others, size):
+            s_set = frozenset(combo)
+            expected = _nx_connected(graph, s_set) and _nx_connected(graph, nodes - s_set)
+            assert df.is_valid_circuit(graph, s_set) == expected, sorted(s_set)
+            if expected:
+                valid.append(combo)
+    assert [tuple(sorted(c.s_set)) for c in df.enumerate_partitions(graph)] == sorted(valid)
+    assert not df.is_valid_circuit(graph, frozenset())
+    assert not df.is_valid_circuit(graph, frozenset({df.ANCHOR}))
+    assert not df.is_valid_circuit(graph, frozenset(nodes))
+    assert not df.is_valid_circuit(graph, frozenset({graph.node_count}))
+    assert not df.is_valid_circuit(graph, frozenset({-1}))
+
+
+@pytest.mark.parametrize(
+    "graph,costs",
+    [instance for _, instance in RANDOM_INSTANCES],
+    ids=[name for name, _ in RANDOM_INSTANCES],
+)
+def test_insertion_partitions_match_networkx(graph, costs):
+    """Every insertion partition built at a vertex for a loose edge keeps
+    the anchor outside S, and networkx finds both sides connected."""
+    nodes = set(range(graph.node_count))
+    built = 0
+    for vertex in df.enumerate_vertices(graph, costs).vertices:
+        for edge in range(graph.edge_count):
+            if df.slack(graph, costs, vertex, edge) == 0:
+                continue
+            try:
+                circuit, sign = df.build_insertion_partition(graph, costs, vertex, edge)
+            except df.PathConflict:
+                continue
+            built += 1
+            assert sign in (1, -1)
+            assert df.ANCHOR not in circuit.s_set
+            assert _nx_connected(graph, circuit.s_set)
+            assert _nx_connected(graph, nodes - circuit.s_set)
+    assert built or graph.edge_count == graph.node_count - 1
 
 
 # ---------------------------------------------------------------------------
