@@ -24,7 +24,7 @@ from .model import (
     ANCHOR,
     Digraph,
     Point,
-    connected_in_underlying,
+    component_count,
     is_feasible,
     shift_point,
     slack,
@@ -66,10 +66,10 @@ def is_valid_circuit(graph: Digraph, s_set: frozenset[int]) -> bool:
         return False
     if any(not (0 <= v < graph.node_count) for v in s_set):
         return False
-    complement = set(range(graph.node_count)) - s_set
-    return connected_in_underlying(graph, s_set) and connected_in_underlying(
-        graph, complement
-    )
+    # the edges inside either side leave one component per side iff both
+    # sides are connected
+    inside = [(t, h) for t, h in graph.edges if (t in s_set) == (h in s_set)]
+    return component_count(graph.node_count, inside) == 2
 
 
 def enumerate_partitions(graph: Digraph) -> tuple[PartitionCircuit, ...]:

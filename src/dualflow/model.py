@@ -263,16 +263,6 @@ def component_count(node_count: int, pairs: Iterable[tuple[int, int]]) -> int:
     return count
 
 
-def connected_in_underlying(graph: Digraph, nodes: Iterable[int]) -> bool:
-    """True iff the node subset induces a connected underlying subgraph."""
-    nodes = set(nodes)
-    if not nodes:
-        return False
-    adj = underlying_adjacency(graph)
-    inside = bfs_parents(next(iter(nodes)), lambda v: [w for w in adj[v] if w in nodes])
-    return len(inside) == len(nodes)
-
-
 def tree_adjacency(
     graph: Digraph, tree: Iterable[int]
 ) -> tuple[list[list[int]], dict[tuple[int, int], int]]:

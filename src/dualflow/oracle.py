@@ -68,7 +68,6 @@ from .model import (
     is_feasible,
     join_points,
     shift_point,
-    tight_graph,
 )
 from .walks import Walk, walk_from_points
 
@@ -92,8 +91,8 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
     into exactly two connected components (isolated nodes count)."""
     if u == v:
         raise IdenticalPoints("adjacency needs two distinct vertices")
-    check_vertices(graph, costs, u, v)
-    common = tight_graph(graph, costs, u) & tight_graph(graph, costs, v)
+    tight_u, tight_v = check_vertices(graph, costs, u, v)
+    common = tight_u & tight_v
     return component_count(graph.node_count, [graph.edges[i] for i in common]) == 2
 
 

@@ -61,7 +61,6 @@ from .model import (
     check_spanning_tree,
     check_vertices,
     component_count,
-    connected_in_underlying,
     feasibility_status,
     is_feasible,
     shift_point,
@@ -321,14 +320,13 @@ def _insertion_partition(
     start_side = set(
         bfs_parents(start, lambda v: [w for w in adj[v] if w not in goal_side])
     )
-    full_goal_side = set(range(graph.node_count)) - start_side
-    if not connected_in_underlying(graph, full_goal_side):
-        raise InvalidPartition("goal side is disconnected")
-    if not connected_in_underlying(graph, start_side):
-        raise InvalidPartition("start side is disconnected")
     if ANCHOR in start_side:
-        return PartitionCircuit(frozenset(full_goal_side)), 1, goal_side
-    return PartitionCircuit(frozenset(start_side)), -1, goal_side
+        s_set, sign = frozenset(range(graph.node_count)) - start_side, 1
+    else:
+        s_set, sign = frozenset(start_side), -1
+    if not is_valid_circuit(graph, s_set):
+        raise InvalidPartition("a side of the partition is disconnected")
+    return PartitionCircuit(s_set), sign, goal_side
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +432,21 @@ def _insertion_walk(
     """The walk that inserts each edge of the target's lexicographically
     smallest tight spanning tree in turn: steps by ``step_rule`` until the
     edge is tight, then contracts it.  The rule gets a list that it keeps
-    for the rest of the phase.  Runs on the grid; the endpoints are
-    vertices.
+    for the rest of the phase.  Runs on the grid, after the endpoint
+    check; an edge walk's target must carry no extra tight edge.
 
     The contracted node each original node merged into is kept as a map.
     Lifting is affine with this map as its linear part, so a contracted
     step moves the original point on the map's preimage of the step's S.
     """
+    _, target_tight = check_vertices(graph, costs, source, target)
+    if mode == "edge" and len(target_tight) != graph.node_count - 1:
+        raise DegenerateInstance("target vertex carries extra tight edges")
     if source == target:
         return Walk((source,), (), mode)
     grid = Grid(costs)
     current, goal = (Point(grid.to_state(point)) for point in (source, target))
-    remaining = _lexmin_tree(graph, tight_graph(graph, grid.costs, goal))
+    remaining = _lexmin_tree(graph, target_tight)
     walked, walked_costs = graph, grid.costs
     node_map = tuple(range(graph.node_count))
     points = [current]
@@ -481,9 +482,6 @@ def edge_walk(
     degeneracy and aborts, and so does a target with extra tight edges.
     Endpoints are checked by :func:`dualflow.model.check_vertices`.
     """
-    _, target_tight = check_vertices(graph, costs, source, target)
-    if len(target_tight) != graph.node_count - 1:
-        raise DegenerateInstance("target vertex carries extra tight edges")
     return _insertion_walk(graph, costs, source, target, "edge", _pivot)
 
 
@@ -497,7 +495,6 @@ def circuit_walk(
     grows every step), contracting after every insertion.  Endpoints are
     checked by :func:`dualflow.model.check_vertices`.
     """
-    check_vertices(graph, costs, source, target)
     return _insertion_walk(graph, costs, source, target, "circuit", _insertion_step)
 
 

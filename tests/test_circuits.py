@@ -138,6 +138,17 @@ def test_insertion_partitions_match_networkx(graph, costs):
     assert built or graph.edge_count == graph.node_count - 1
 
 
+def test_insertion_partition_guard_raises(monkeypatch, example, near_vertex):
+    """The partition is checked before it is returned: a rejected side
+    raises InvalidPartition."""
+    graph, costs = example
+    monkeypatch.setattr("dualflow.walks.is_valid_circuit", lambda *_: False)
+    with pytest.raises(df.InvalidPartition):
+        df.build_insertion_partition(
+            graph, costs, near_vertex, df.find_edge(graph, 0, 3)
+        )
+
+
 # ---------------------------------------------------------------------------
 # circuit_vector
 
