@@ -138,6 +138,83 @@ def test_vertices_command(example_file):
     assert ["0", "2/3", "4/3", "2"] in report["result"]["vertices"]
 
 
+FAR_WALK = [
+    "walk length: 4",
+    "  (0, 0, 0, 0)",
+    "  (0, 0, 0, 10/9)",
+    "  (0, 0, 2/9, 4/3)",
+    "  (0, 2/3, 8/9, 2)",
+    "  (0, 2/3, 4/3, 2)",
+]
+
+
+def test_walk_text_report(example_file):
+    argv = ["walk", example_file, "--mode", "circuit"]
+    argv += ["--source-point", "0,0,0,0", "--target-point", "0,2/3,4/3,2"]
+    code, text = invoke(argv)
+    assert code == 0
+    assert text.splitlines() == [
+        "command: " + " ".join(argv),
+        "instance: 4 nodes, 9 edges",
+        "length: 4",
+        *FAR_WALK,
+    ]
+
+
+def test_distance_text_report(example_file):
+    argv = ["distance", example_file, "--mode", "circuit"]
+    argv += ["--source-point", "0,0,0,0", "--target-point", "0,2/3,4/3,2"]
+    code, text = invoke(argv)
+    assert code == 0
+    assert text.splitlines() == [
+        "command: " + " ".join(argv),
+        "instance: 4 nodes, 9 edges",
+        "distance: 4",
+        "walk length: 4",
+        "  (0, 0, 0, 0)",
+        "  (0, -1, 0, 0)",
+        "  (0, 1/3, 4/3, 4/3)",
+        "  (0, 1, 4/3, 2)",
+        "  (0, 2/3, 4/3, 2)",
+    ]
+
+
+def test_vertices_text_report(example_file):
+    code, text = invoke(["vertices", example_file])
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[:4] == [
+        f"command: vertices {example_file}",
+        "instance: 4 nodes, 9 edges",
+        "count: 14",
+        "vertices: 14",
+    ]
+    graph, costs = df.load_graph(example_file)
+    assert lines[4:] == [
+        "  (" + ", ".join(df.rational_str(x) for x in vertex.coords) + ")"
+        for vertex in df.enumerate_vertices(graph, costs).vertices
+    ]
+    assert len(lines[4:]) == 14
+    assert lines[4] == "  (0, -1, 0, 0)"
+    assert lines[-1] == "  (0, 1, 4/3, 2)"
+
+
+def test_gen_example_json_carries_the_graph():
+    code, text = invoke(["gen", "example", "--json"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["result"] == {"graph": invoke(["gen", "example"])[1]}
+    assert report["instance"] == {"nodes": 4, "edges": 9}
+    assert df.parse_graph(report["result"]["graph"]) == df.example_graph()
+
+
+def test_non_integer_cap_is_a_usage_error(example_file, capsys):
+    code, text = invoke(["vertices", example_file, "--states", "x"])
+    assert code == 2
+    assert text == ""
+    assert "argument --states: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_glue_command(tmp_path, example_file):
     out_path = tmp_path / "glued.graph"
     code, _ = invoke(["glue", example_file, example_file, "-o", str(out_path)])
