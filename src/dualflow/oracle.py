@@ -145,13 +145,9 @@ class _ScaledInstance(Grid):
                 blocking = tuple(_blocking_edges(graph, circuit, sign))
                 if blocking:
                     self.directions[members, sign] = blocking
-        self._neighbor_cache: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def neighbors(self, state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The destination state of every applicable direction."""
-        cached = self._neighbor_cache.get(state)
-        if cached is not None:
-            return cached
         result = []
         for (members, sign), blocking in self.directions.items():
             epsilon = None
@@ -168,9 +164,7 @@ class _ScaledInstance(Grid):
             for v in members:
                 target[v] += delta
             result.append(tuple(target))
-        packed = tuple(result)
-        self._neighbor_cache[state] = packed
-        return packed
+        return tuple(result)
 
     def one_step(self, state: tuple[int, ...], target: tuple[int, ...]) -> bool:
         """Whether ``target`` is in ``neighbors(state)``, decided from the
@@ -219,6 +213,8 @@ class _ScaledInstance(Grid):
         return None
 
 
+# Holds each instance's grid and direction table only, never search state,
+# so a circuit query's memory is bounded by the states its search stores.
 @lru_cache(maxsize=64)
 def _scaled_instance(graph: Digraph, costs: CostVector) -> _ScaledInstance:
     return _ScaledInstance(graph, costs)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -814,3 +816,23 @@ def test_bipartite_4x4_circuit_distance_within_default_caps():
     result = df.circuit_distance(graph, costs, vertices[0], vertices[-1])
     assert df.validate_walk(graph, costs, result.walk).valid
     assert result.length <= m + n - 2
+
+
+def test_circuit_diameter_keeps_no_search_state():
+    """Between queries the caches hold only each block's grid and direction
+    table, whose size depends on the instance: traced memory grows by less
+    than 1 MiB across a circuit diameter, however many states its searches
+    stored."""
+    tracemalloc.start()
+    try:
+        for m, n in ((3, 3), (3, 4)):
+            matrix = df.random_bipartite_costs(m, n, 7)
+            graph, costs = df.complete_bipartite(m, n, matrix)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            df.diameter(graph, costs, "circuit")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            assert retained < 2**20, f"{m}x{n} kept {retained / 2**20:.2f} MiB"
+    finally:
+        tracemalloc.stop()
