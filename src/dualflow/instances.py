@@ -73,8 +73,8 @@ def glue(
 
 def family_gk(k: int) -> tuple[Digraph, CostVector]:
     """``k`` copies of the example glued at their anchors: 3k+1 nodes."""
-    if k < 1:
-        raise ValidationError("k must be at least 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValidationError(f"k {k!r} is not an int >= 1")
     graph, costs = example_graph()
     glued, glued_costs, _ = glue([(graph, costs, ANCHOR)] * k)
     return glued, glued_costs
@@ -89,8 +89,8 @@ def add_leaf(
     vertex, so walks between old vertices are unaffected.
     """
     check_costs(graph, costs)
-    if not (0 <= attach < graph.node_count):
-        raise ValidationError(f"attach node {attach} out of range")
+    if not isinstance(attach, int) or not (0 <= attach < graph.node_count):
+        raise ValidationError(f"attach node {attach!r} out of range")
     leaf = graph.node_count
     new_graph = Digraph(graph.node_count + 1, graph.edges + ((attach, leaf),))
     return new_graph, tuple(costs) + (Fraction(0),)
@@ -101,8 +101,8 @@ def complete_bipartite(
 ) -> tuple[Digraph, CostVector]:
     """All ``m * n`` edges directed from the first side (holding the anchor)
     to the second, with the given cost matrix."""
-    if m < 1 or n < 1:
-        raise ValidationError("both sides need at least one node")
+    if not (isinstance(m, int) and isinstance(n, int)) or m < 1 or n < 1:
+        raise ValidationError(f"sides {m!r} and {n!r} are not ints >= 1")
     if len(costs) != m or any(len(row) != n for row in costs):
         raise ValidationError(f"cost matrix must be {m}x{n}")
     edges = []
@@ -118,8 +118,10 @@ def random_bipartite_costs(
     m: int, n: int, seed: int, max_denominator: int = 100
 ) -> list[list[Fraction]]:
     """Seeded positive rational cost matrix for the bipartite generator."""
-    if max_denominator < 1:
-        raise ValidationError(f"max_denominator {max_denominator} is below 1")
+    if not (isinstance(m, int) and isinstance(n, int)):
+        raise ValidationError(f"sides {m!r} and {n!r} are not ints")
+    if not isinstance(max_denominator, int) or max_denominator < 1:
+        raise ValidationError(f"max_denominator {max_denominator!r} is not an int >= 1")
     rng = random.Random(seed)
     matrix = []
     for _ in range(m):

@@ -623,7 +623,7 @@ def perturb_costs(
     """Add independent random rationals with the given denominator; breaks
     ties so that degenerate instances become nondegenerate almost surely."""
     check_costs(graph, costs)
-    if denominator < 1:
-        raise ValidationError(f"denominator {denominator} is not a positive integer")
+    if not isinstance(denominator, int) or denominator < 1:
+        raise ValidationError(f"denominator {denominator!r} is not a positive integer")
     rng = random.Random(seed)
     return tuple(c + Fraction(rng.randrange(denominator), denominator) for c in costs)

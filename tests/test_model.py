@@ -460,6 +460,13 @@ def test_rational_results_stay_canonical():
         (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), 99), df.EdgeMissing),
         (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), -1), df.EdgeMissing),
         (lambda g, c: df.last_backward_edge(g, {0, 1, 2}, 0, 9), df.ValidationError),
+        (lambda g, c: df.random_bipartite_costs(2.0, 2, 1), df.ValidationError),
+        (lambda g, c: df.random_bipartite_costs(2, 2, 1, 2.5), df.ValidationError),
+        (lambda g, c: df.family_gk(2.0), df.ValidationError),
+        (lambda g, c: df.family_gk("2"), df.ValidationError),
+        (lambda g, c: df.complete_bipartite(2.0, 2, [[1, 1], [1, 1]]), df.ValidationError),
+        (lambda g, c: df.add_leaf(g, c, "1"), df.ValidationError),
+        (lambda g, c: df.perturb_costs(g, c, 1, denominator=2.5), df.ValidationError),
     ],
 )
 def test_public_calls_raise_typed_errors(example, call, error):
