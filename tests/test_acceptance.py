@@ -271,6 +271,16 @@ def test_criterion_8_lower_bound_family(example):
             assert result.length == 4 * k
             assert df.validate_walk(gk, gk_costs, result.walk).valid
         assert df.diameter(glued, glued_costs, "circuit").value == 8
+        # so gk(k)'s circuit diameter is exactly 4k: it exceeds the bipartite
+        # circuit bound |V| - 2 by k + 1, an arbitrary additive constant,
+        # and it is at least 4/3 |V| - 4
+        for k in range(1, 11):
+            gk, gk_costs = df.family_gk(k)
+            nodes = gk.node_count
+            value = df.diameter(gk, gk_costs, "circuit").value
+            assert value == 4 * k
+            assert value - (nodes - 2) == k + 1
+            assert value >= Fraction(4, 3) * nodes - 4
 
 
 def test_criterion_9_bipartite_bounds():
@@ -286,6 +296,19 @@ def test_criterion_9_bipartite_bounds():
             done += 1
             assert df.diameter(graph, costs, "edge").value <= (m - 1) * (n - 1)
             assert df.diameter(graph, costs, "circuit").value <= m + n - 2
+        # one fixed instance at m = n = 4: its circuit diameter runs 20
+        # all-targets searches, too slow to draw 50 such instances at random
+        m = n = 4
+        graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+        assert df.degeneracy_report(graph, costs).nondegenerate
+        circuit = df.diameter(graph, costs, "circuit").value
+        assert circuit == 4
+        assert circuit <= m + n - 2
+        assert df.diameter(graph, costs, "edge").value <= (m - 1) * (n - 1)
+        print(
+            "  (criterion 9 detail: 50 random instances with m, n <= 3, "
+            "and bipartite 4x4 (cost seed 7))"
+        )
 
 
 def test_criterion_10_contraction_face_bijection():
