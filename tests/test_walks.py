@@ -426,6 +426,69 @@ def test_edge_walk_succeeds_after_perturbation():
             assert df.validate_walk(graph, jiggled, walk).valid
 
 
+def _reference_instances():
+    """Twelve seeded sub-tournaments on 2-7 nodes, dense enough to have
+    many vertices; every odd one has integer costs in {0, 1, 2}, so three
+    of those are degenerate."""
+    rng = random.Random(1409)
+    return [
+        random_sub_tournament(rng, 2 + k % 6, skip=0.25, integer_costs=k % 2 == 1)
+        for k in range(12)
+    ]
+
+
+# (instance, source vertex index, target vertex index) -> the message of the
+# edge walk's DegenerateInstance, one message per way the rule detects a tie
+DEGENERATE_EDGE_WALKS = {
+    (5, 0, 1): "target vertex carries extra tight edges",
+    (9, 0, 2): "target vertex carries extra tight edges",
+    (5, 0, 2): "a walk vertex carries extra tight edges; perturb the costs",
+    (9, 5, 0): "a walk vertex carries extra tight edges; perturb the costs",
+    (11, 0, 6): "a walk vertex carries extra tight edges; perturb the costs",
+    (5, 2, 14): "pivot tightened several inequalities at once; perturb the costs",
+    (5, 5, 15): "pivot tightened several inequalities at once; perturb the costs",
+    (11, 2, 6): "pivot tightened several inequalities at once; perturb the costs",
+}
+
+
+def test_recorded_steps_match_step_between():
+    """Every step a builder records is the one ``step_between`` derives
+    from its two points on the original graph, over every ordered vertex
+    pair of the reference instances, in both modes."""
+    walked = {"edge": 0, "circuit": 0}
+    for graph, costs in _reference_instances():
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        for u in vertices:
+            for v in vertices:
+                for mode, builder in (("edge", df.edge_walk), ("circuit", df.circuit_walk)):
+                    try:
+                        walk = builder(graph, costs, u, v)
+                    except df.DegenerateInstance:
+                        if mode == "circuit":
+                            raise
+                        continue
+                    walked[mode] += walk.length
+                    for k, step in enumerate(walk.steps):
+                        assert step == df.step_between(
+                            graph, costs, walk.points[k], walk.points[k + 1]
+                        )
+    assert min(walked.values()) > 1000, walked
+
+
+def test_edge_walk_degenerate_messages():
+    instances = _reference_instances()
+    for (index, i, j), message in DEGENERATE_EDGE_WALKS.items():
+        graph, costs = instances[index]
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        with pytest.raises(df.DegenerateInstance) as caught:
+            df.edge_walk(graph, costs, vertices[i], vertices[j])
+        assert str(caught.value) == message
+        # the circuit walk between the same vertices tolerates the tie
+        assert df.validate_walk(
+            graph, costs, df.circuit_walk(graph, costs, vertices[i], vertices[j])
+        ).valid
+
+
 # ---------------------------------------------------------------------------
 # the integer grid
 
