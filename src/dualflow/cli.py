@@ -475,6 +475,13 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
         report["status"] = "error"
         report["error"] = {"code": exc.code, "message": str(exc)}
         exit_code = 1
+    except MemoryError:
+        report["status"] = "error"
+        report["error"] = {
+            "code": "out-of-memory",
+            "message": "ran out of memory; a lower --states cap bounds a circuit search",
+        }
+        exit_code = 1
     else:
         report["instance"] = payload.get("instance")
         report["result"] = payload.get("result")

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dualflow as df
+from dualflow import cli
 from dualflow.cli import run, verify_example
 
 
@@ -490,3 +491,17 @@ def test_walk_failing_validation_is_an_internal_invariant(example_file, monkeypa
     error = json.loads(text)["error"]
     assert error["code"] == "internal-invariant"
     assert "planted" in error["message"]
+
+
+def test_memory_error_is_a_typed_error(example_file, monkeypatch):
+    """Running out of memory is reported as an error code, not a traceback."""
+
+    def exhausted(args, out):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "diameter", exhausted)
+    code, text = invoke(["diameter", example_file, "--mode", "circuit", "--json"])
+    assert code == 1
+    report = json.loads(text)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "out-of-memory"
