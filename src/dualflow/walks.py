@@ -2,21 +2,26 @@
 
 Both builders are one insertion driver: it drives the current point toward
 the target's lexicographically smallest tight spanning tree, one target
-edge at a time, stepping until the edge becomes tight, contracts it, and
-continues on the smaller instance.  Only the step rule depends on the mode:
-pivots for edge walks, insertion partitions for circuit walks.  Contraction
-pins the edge so later steps cannot lose it; every step also moves the
-point in the original coordinates.
+edge at a time, stepping until the edge becomes tight and then pinning it,
+so that later steps keep it tight.  Only the step rule depends on the
+mode: pivots for edge walks, insertion partitions for circuit walks.
 
 The builders check their endpoints (:func:`dualflow.model.check_vertices`),
-then run on the instance's integer view (:class:`dualflow.model.Grid`):
-pivots, insertion partitions, contraction and lifting all work on scaled
-integers.  Every
-built walk leaves through :func:`walk_from_points`, which re-derives each
-step on the original graph in that view and converts the points and step
-lengths back to :class:`~fractions.Fraction` once.  :func:`validate_walk`
-stays in rationals, as the independent check: it reads every verdict off
-one slack vector per point and calls none of the step code.
+then walk the original graph on the instance's integer view
+(:class:`dualflow.model.Grid`).  Pinning merges the classes at the edge's
+ends, a class being the nodes joined by pinned edges, and the step rules
+run on classes: an ordered pair of distinct classes stands for the edges
+between them, with the least of their slacks.  The driver keeps one slack
+per edge and updates it at the edges a step's S moves; every step is
+recorded on the original graph as it is taken, with its length converted
+to :class:`~fractions.Fraction` once.  No contracted instance is built:
+:func:`contract_edge`, :func:`lift_point` and :func:`project_point` serve
+callers that want the face polyhedron itself.
+
+:func:`walk_from_points` turns the oracles' witness points into walks by
+re-deriving each step.  :func:`validate_walk` stays in rationals, as the
+independent check: it reads every verdict off one slack vector per point
+and calls none of the step code.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .circuits import (
     PartitionCircuit,
     SignedStep,
-    _max_step,
     _step_between,
     is_valid_circuit,
 )
@@ -44,7 +48,6 @@ from .errors import (
     InvalidPartition,
     NegativeSelfLoop,
     NoBackwardEdge,
-    NotApplicable,
     NotAVertex,
     PathConflict,
     ValidationError,
@@ -63,10 +66,8 @@ from .model import (
     component_count,
     feasibility_status,
     is_feasible,
-    shift_point,
     slack,
     tight_graph,
-    tree_adjacency,
     underlying_adjacency,
 )
 
@@ -241,7 +242,72 @@ def project_point(record: ContractionRecord, point: Point) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# pivots
+# step rules on node classes
+#
+# The builders pin each inserted edge by merging the classes at its ends, so
+# their step rules run on classes: an ordered pair of distinct classes stands
+# for every edge between them, and it is tight when one of those edges is.
+# The public functions below run the same rules with every node its own
+# class.
+
+
+def _last_backward(
+    classes: frozenset[int], pairs: Sequence[tuple[int, int]], start: int, goal: int
+) -> tuple[int, frozenset[int], frozenset[int]]:
+    """On the path from ``start`` to ``goal`` in the spanning tree of the
+    classes formed by ``pairs``, the index of the last pair directed away
+    from ``goal``, and the classes on each side of the tree without it."""
+    adj: dict[int, list[int]] = {c: [] for c in classes}
+    pair_at: dict[tuple[int, int], int] = {}
+    for k, (tail, head) in enumerate(pairs):
+        adj[tail].append(head)
+        adj[head].append(tail)
+        pair_at[tail, head] = pair_at[head, tail] = k
+    parents = bfs_parents(start, adj.__getitem__)
+    if goal not in parents:
+        raise InternalInvariant("the tight pairs do not span the classes")
+    # walking back from the goal, the first pair whose tail lies nearer the
+    # goal is the last one on the path pointing away from it
+    node = goal
+    while node != start:
+        prev = parents[node]
+        chosen = pair_at[prev, node]
+        if pairs[chosen][0] == node:
+            break
+        node = prev
+    else:
+        raise NoBackwardEdge("the whole tree path is directed toward the goal")
+    side_of_start = frozenset(
+        bfs_parents(start, lambda v: [w for w in adj[v] if pair_at[v, w] != chosen])
+    )
+    return chosen, side_of_start, classes - side_of_start
+
+
+def _insertion_partition(
+    classes: frozenset[int],
+    adjacency,
+    tight: Iterable[tuple[int, int]],
+    start: int,
+    goal: int,
+) -> tuple[frozenset[int], int, frozenset[int]]:
+    """The insertion partition of the loose pair ``(start, goal)``: the S
+    side (anchor class outside), its sign, and the reach set, the classes
+    with a tight directed path into ``goal``.  ``adjacency`` maps each class
+    to its neighbours in the underlying graph."""
+    into: dict[int, list[int]] = {}
+    for tail, head in tight:
+        into.setdefault(head, []).append(tail)
+    goal_side = frozenset(bfs_parents(goal, lambda v: into.get(v, ())))
+    if start in goal_side:
+        raise PathConflict(
+            "a tight directed path already runs from the edge's tail to its head"
+        )
+    start_side = frozenset(
+        bfs_parents(start, lambda v: [w for w in adjacency[v] if w not in goal_side])
+    )
+    if ANCHOR in start_side:
+        return classes - start_side, 1, goal_side
+    return start_side, -1, goal_side
 
 
 def last_backward_edge(
@@ -258,25 +324,11 @@ def last_backward_edge(
         raise ValidationError(f"node {start} or {goal} out of range")
     if start == goal:
         raise ValidationError("start and goal coincide")
-    tree = check_spanning_tree(graph, tree)
-    adj, edge_of = tree_adjacency(graph, tree)
-    parents = bfs_parents(start, adj.__getitem__)
-    # walking back from the goal, the first edge whose tail lies nearer the
-    # goal is the last one on the path pointing away from it
-    node = goal
-    while node != start:
-        prev = parents[node]
-        chosen = edge_of[prev, node]
-        if graph.edges[chosen][0] == node:
-            break
-        node = prev
-    else:
-        raise NoBackwardEdge("the whole tree path is directed toward the goal")
-    side_of_start = frozenset(
-        bfs_parents(start, lambda v: [w for w in adj[v] if edge_of[v, w] != chosen])
+    tree = sorted(check_spanning_tree(graph, tree))
+    chosen, side_of_start, side_of_goal = _last_backward(
+        frozenset(range(graph.node_count)), [graph.edges[i] for i in tree], start, goal
     )
-    side_of_goal = frozenset(range(graph.node_count)) - side_of_start
-    return chosen, side_of_start, side_of_goal
+    return tree[chosen], side_of_start, side_of_goal
 
 
 def build_insertion_partition(
@@ -296,37 +348,15 @@ def build_insertion_partition(
         raise InfeasiblePoint("partition construction needs a feasible point")
     if slack(graph, costs, point, edge_index) == 0:
         raise ValidationError("edge is already tight")
-    circuit, sign, _ = _insertion_partition(graph, costs, point, edge_index)
-    return circuit, sign
-
-
-def _insertion_partition(
-    graph: Digraph, costs: CostVector, point: Point, edge_index: int
-) -> tuple[PartitionCircuit, int, frozenset[int]]:
-    """:func:`build_insertion_partition` for a feasible point at which the
-    edge is loose; also returns the nodes with a tight directed path into
-    the edge's head."""
-    start, goal = graph.edges[edge_index]
-    into: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for i in tight_graph(graph, costs, point):
-        tail, head = graph.edges[i]
-        into[head].append(tail)
-    goal_side = frozenset(bfs_parents(goal, into.__getitem__))
-    if start in goal_side:
-        raise PathConflict(
-            "a tight directed path already runs from the edge's tail to its head"
-        )
-    adj = underlying_adjacency(graph)
-    start_side = set(
-        bfs_parents(start, lambda v: [w for w in adj[v] if w not in goal_side])
+    s_set, sign, _ = _insertion_partition(
+        frozenset(range(graph.node_count)),
+        underlying_adjacency(graph),
+        [graph.edges[i] for i in tight_graph(graph, costs, point)],
+        *graph.edges[edge_index],
     )
-    if ANCHOR in start_side:
-        s_set, sign = frozenset(range(graph.node_count)) - start_side, 1
-    else:
-        s_set, sign = frozenset(start_side), -1
     if not is_valid_circuit(graph, s_set):
         raise InvalidPartition("a side of the partition is disconnected")
-    return PartitionCircuit(s_set), sign, goal_side
+    return PartitionCircuit(s_set), sign
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +369,12 @@ def walk_from_points(
     """Assemble a walk by recovering the signed step of each move, on a grid
     fine enough for the points as well as the costs."""
     grid = Grid(costs, points)
-    return _grid_walk(graph, grid, [Point(grid.to_state(p)) for p in points], mode)
-
-
-def _grid_walk(graph: Digraph, grid: Grid, points: Sequence[Point], mode: str) -> Walk:
-    """:func:`walk_from_points` for points on the grid's integer view; the
-    walk comes back in rationals."""
+    states = [Point(grid.to_state(p)) for p in points]
     steps = []
-    for before, after in zip(points, points[1:]):
+    for before, after in zip(states, states[1:]):
         step = _step_between(graph, grid.costs, before, after, grid.scale)
         steps.append(replace(step, epsilon=grid.to_rational(step.epsilon)))
-    return Walk(tuple(grid.to_point(p) for p in points), tuple(steps), mode)
+    return Walk(tuple(map(grid.to_point, states)), tuple(steps), mode)
 
 
 def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
@@ -367,108 +392,114 @@ def _lexmin_tree(graph: Digraph, tight: frozenset[int]) -> list[int]:
     return tree
 
 
-def _pivot(
-    graph: Digraph, costs: CostVector, point: Point, edge_index: int, deleted: list[int]
-) -> tuple[PartitionCircuit, int, SignedStep]:
-    """The edge walks' step rule: pivot along the split at the last
-    backward edge of the current tree on the path from the edge's tail to
-    its head.  Any tie reveals degeneracy and aborts.  ``deleted`` holds
-    the edges this phase pivoted out, one per pivot; none may come back."""
-    goal_tail, goal_head = graph.edges[edge_index]
-    tight = tight_graph(graph, costs, point)
-    if len(tight) != graph.node_count - 1:
-        raise DegenerateInstance(
-            "a walk vertex carries extra tight edges; perturb the costs"
-        )
-    dropped, start_side, goal_side = last_backward_edge(
-        graph, tight, goal_tail, goal_head
-    )
-    if ANCHOR in start_side:
-        circuit, sign = PartitionCircuit(goal_side), 1
-    else:
-        circuit, sign = PartitionCircuit(start_side), -1
-    try:
-        step = _max_step(graph, costs, point, circuit, sign)
-    except NotApplicable as exc:
-        raise DegenerateInstance(
-            "pivot blocked by an already-tight edge; perturb the costs"
-        ) from exc
-    if len(step.entering_edges) > 1:
-        raise DegenerateInstance(
-            "pivot tightened several inequalities at once; perturb the costs"
-        )
-    if step.entering_edges.intersection(deleted):
-        raise InternalInvariant("re-inserted a deleted edge")
-    deleted.append(dropped)
-    n = graph.node_count
-    if len(deleted) > min(graph.edge_count, n * (n - 1) // 2):
-        raise InternalInvariant("pivot phase exceeded its guaranteed bound")
-    return circuit, sign, step
-
-
-def _insertion_step(
-    graph: Digraph,
-    costs: CostVector,
-    point: Point,
-    edge_index: int,
-    reaches: list[frozenset[int]],
-) -> tuple[PartitionCircuit, int, SignedStep]:
-    """The circuit walks' step rule: the maximal step along the insertion
-    partition, whose goal side is the reach set, the nodes with a tight
-    directed path into the edge's head.  ``reaches`` holds the reach set of
-    each earlier step of the phase; it must grow every step."""
-    circuit, sign, reach = _insertion_partition(graph, costs, point, edge_index)
-    if reaches and not reach > reaches[-1]:
-        raise InternalInvariant("insertion step did not grow the reach set")
-    reaches.append(reach)
-    if len(reaches) > graph.node_count - 1:
-        raise InternalInvariant("insertion phase exceeded its guaranteed bound")
-    return circuit, sign, _max_step(graph, costs, point, circuit, sign)
-
-
 def _insertion_walk(
-    graph: Digraph, costs: CostVector, source: Point, target: Point, mode: str, step_rule
+    graph: Digraph, costs: CostVector, source: Point, target: Point, mode: str
 ) -> Walk:
     """The walk that inserts each edge of the target's lexicographically
-    smallest tight spanning tree in turn: steps by ``step_rule`` until the
-    edge is tight, then contracts it.  The rule gets a list that it keeps
-    for the rest of the phase.  Runs on the grid, after the endpoint
-    check; an edge walk's target must carry no extra tight edge.
+    smallest tight spanning tree in turn, stepping until the edge is tight
+    and then pinning it.  Runs on the grid, after the endpoint check; an
+    edge walk's target must carry no extra tight edge.
 
-    The contracted node each original node merged into is kept as a map.
-    Lifting is affine with this map as its linear part, so a contracted
-    step moves the original point on the map's preimage of the step's S.
+    The state is the point, one slack per edge, updated only at the edges
+    that cross a step's S, and a label per node naming its class, the nodes
+    joined by pinned edges (the anchor's class is labelled 0).  An edge
+    walk pivots at the last backward tight pair on the tree path from the
+    edge's tail class to its head class; any tie aborts, and the pairs it
+    pivots out may not come back.  A circuit walk steps along the insertion
+    partition, whose reach set must grow every step.  Each step is recorded
+    on the original graph as it is taken.
     """
     _, target_tight = check_vertices(graph, costs, source, target)
-    if mode == "edge" and len(target_tight) != graph.node_count - 1:
+    n = graph.node_count
+    if mode == "edge" and len(target_tight) != n - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
     if source == target:
         return Walk((source,), (), mode)
     grid = Grid(costs)
-    current, goal = (Point(grid.to_state(point)) for point in (source, target))
-    remaining = _lexmin_tree(graph, target_tight)
-    walked, walked_costs = graph, grid.costs
-    node_map = tuple(range(graph.node_count))
-    points = [current]
-    while remaining:
-        phase: list = []
-        while slack(walked, walked_costs, current, remaining[0]) != 0:
-            circuit, sign, step = step_rule(
-                walked, walked_costs, current, remaining[0], phase
-            )
-            delta = sign * step.epsilon
-            current = shift_point(current, circuit.s_set, delta)
-            moved = frozenset(v for v, x in enumerate(node_map) if x in circuit.s_set)
-            points.append(shift_point(points[-1], moved, delta))
-        walked, walked_costs, record = _contract(walked, walked_costs, remaining[0])
-        node_map = tuple(record.node_map[x] for x in node_map)
-        remaining = [record.edge_map[i] for i in remaining[1:]]
-        if None in remaining:
+    edges = graph.edges
+    state = list(grid.to_state(source))
+    slacks = [c - state[head] + state[tail] for c, (tail, head) in zip(grid.costs, edges)]
+    label = list(range(n))
+    coords = list(grid.to_point(state))
+    points, steps = [Point(tuple(coords))], []
+    for inserted in _lexmin_tree(graph, target_tight):
+        start, goal = label[edges[inserted][0]], label[edges[inserted][1]]
+        if start == goal:
             raise InternalInvariant("a target edge collapsed")
-        current = project_point(record, current)
-    if points[-1] != goal:
+        # the edges between distinct classes, each with its class pair
+        live = [
+            (i, tail, head, (label[tail], label[head]))
+            for i, (tail, head) in enumerate(edges)
+            if label[tail] != label[head]
+        ]
+        classes = frozenset(label)
+        adjacency: dict[int, set[int]] = {c: set() for c in classes}
+        for *_, (a, b) in live:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        inserting = [i for i, *_, pair in live if pair == (start, goal)]
+        c = len(classes)
+        bound = min(len({pair for *_, pair in live}), c * (c - 1) // 2)
+        phase: list = []  # pivoted-out pairs, or reach sets
+        while all(slacks[i] for i in inserting):
+            tight = {pair for i, *_, pair in live if not slacks[i]}
+            if mode == "edge":
+                if len(tight) != c - 1:
+                    raise DegenerateInstance(
+                        "a walk vertex carries extra tight edges; perturb the costs"
+                    )
+                tree = list(tight)
+                dropped, start_side, goal_side = _last_backward(classes, tree, start, goal)
+                s_classes, sign = (goal_side, 1) if ANCHOR in start_side else (start_side, -1)
+            else:
+                s_classes, sign, reach = _insertion_partition(
+                    classes, adjacency, tight, start, goal
+                )
+                if phase and not reach > phase[-1]:
+                    raise InternalInvariant("insertion step did not grow the reach set")
+                phase.append(reach)
+                if len(phase) > c - 1:
+                    raise InternalInvariant("insertion phase exceeded its guaranteed bound")
+            s_set = frozenset(v for v in range(n) if label[v] in s_classes)
+            if not is_valid_circuit(graph, s_set):
+                raise InternalInvariant("a step's S is not a circuit of the graph")
+            # a rise is blocked by the edges into S, a fall by those out of it
+            blocking, loosening = [], []
+            for i, tail, head, _ in live:
+                if (tail in s_set) != (head in s_set):
+                    (blocking if (head in s_set) == (sign > 0) else loosening).append(i)
+            epsilon = min((slacks[i] for i in blocking), default=0)
+            if epsilon <= 0:
+                raise InternalInvariant("a step is blocked at once or not at all")
+            for i in blocking:
+                slacks[i] -= epsilon
+            for i in loosening:
+                slacks[i] += epsilon
+            entering = frozenset(i for i in blocking if not slacks[i])
+            if mode == "edge":
+                entering_pairs = {pair for i, *_, pair in live if i in entering}
+                if len(entering_pairs) > 1:
+                    raise DegenerateInstance(
+                        "pivot tightened several inequalities at once; perturb the costs"
+                    )
+                if entering_pairs.intersection(phase):
+                    raise InternalInvariant("re-inserted a deleted edge")
+                phase.append(tree[dropped])
+                if len(phase) > bound:
+                    raise InternalInvariant("pivot phase exceeded its guaranteed bound")
+            for v in s_set:
+                state[v] += sign * epsilon
+                coords[v] = grid.to_rational(state[v])
+            points.append(Point(tuple(coords)))
+            steps.append(SignedStep(
+                PartitionCircuit(s_set), sign, grid.to_rational(epsilon), entering
+            ))
+        # pin the inserted pair: its higher label joins the lower one
+        kept, merged = sorted((start, goal))
+        label = [kept if x == merged else x for x in label]
+    if tuple(state) != grid.to_state(target):
         raise InternalInvariant(f"{mode} walk did not terminate at the target")
-    return _grid_walk(graph, grid, points, mode)
+    return Walk(tuple(points), tuple(steps), mode)
 
 
 def edge_walk(
@@ -477,12 +508,12 @@ def edge_walk(
     """Edge walk between two vertices of a nondegenerate instance.
 
     Repeatedly inserts the next missing target-tree edge by pivoting along
-    the split at the last backward edge of the current tree, then contracts
-    the inserted edge.  Any tie among entering inequalities reveals
-    degeneracy and aborts, and so does a target with extra tight edges.
-    Endpoints are checked by :func:`dualflow.model.check_vertices`.
+    the split at the last backward edge of the current tree, then pins the
+    inserted edge.  Any tie among entering inequalities reveals degeneracy
+    and aborts, and so does a target with extra tight edges.  Endpoints are
+    checked by :func:`dualflow.model.check_vertices`.
     """
-    return _insertion_walk(graph, costs, source, target, "edge", _pivot)
+    return _insertion_walk(graph, costs, source, target, "edge")
 
 
 def circuit_walk(
@@ -492,10 +523,10 @@ def circuit_walk(
 
     Inserts each target-tree edge with at most ``nodes - 1`` maximal steps
     (the set of nodes that reach the edge's head by tight directed paths
-    grows every step), contracting after every insertion.  Endpoints are
+    grows every step), pinning it after every insertion.  Endpoints are
     checked by :func:`dualflow.model.check_vertices`.
     """
-    return _insertion_walk(graph, costs, source, target, "circuit", _insertion_step)
+    return _insertion_walk(graph, costs, source, target, "circuit")
 
 
 # ---------------------------------------------------------------------------

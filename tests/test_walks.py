@@ -849,7 +849,6 @@ def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
         "dualflow.circuits._max_step",
         "dualflow.circuits._blocking_edges",
         "dualflow.circuits.is_feasible",
-        "dualflow.walks._max_step",
         "dualflow.walks.tight_graph",
         "dualflow.walks.is_feasible",
         "dualflow.model.tight_graph",
@@ -859,6 +858,25 @@ def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
     for graph, costs, walk in built:
         assert walk.length > 0
         assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+
+
+def test_builders_build_no_contracted_instance(monkeypatch, near_vertex, far_vertex):
+    """The builders walk the original graph and record each step as they
+    take it: with contraction and step recovery broken, gk(2) and gk(3)
+    walks still build and validate in both modes and both directions."""
+    monkeypatch.setattr("dualflow.walks._contract", _step_code_called)
+    monkeypatch.setattr("dualflow.walks._step_between", _step_code_called)
+    for k in (2, 3):
+        graph, costs = df.family_gk(k)
+        source, target = (
+            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
+        )
+        for builder in (df.edge_walk, df.circuit_walk):
+            for a, b in ((source, target), (target, source)):
+                walk = builder(graph, costs, a, b)
+                assert walk.points[0] == a and walk.points[-1] == b
+                assert walk.length > 0
+                assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
 
 
 def _corruptions(graph, step):
