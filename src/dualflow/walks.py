@@ -433,7 +433,7 @@ def _insertion_walk(
             if label[tail] != label[head]
         ]
         classes = frozenset(label)
-        adjacency: dict[int, set[int]] = {c: set() for c in classes}
+        adjacency: dict[int, set[int]] = {x: set() for x in classes}
         for *_, (a, b) in live:
             adjacency[a].add(b)
             adjacency[b].add(a)
