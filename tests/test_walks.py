@@ -812,6 +812,28 @@ BAD_WALKS = {
 }
 
 
+def test_validate_off_the_cost_grid(example):
+    """A point's /7 coordinate lies off the costs' lcm of 9: the checker's
+    scale must cover the points' denominators as well as the costs'."""
+    graph, costs = example
+    points = (df.Point.of(0, 0, 0, "1/7"), df.Point.of(0, 0, 0, "10/9"))
+    step = _move({3}, 1, "61/63", {8})
+    assert df.max_step(graph, costs, points[0], step.circuit, 1) == step
+    walk = df.Walk(points, (step,), "circuit")
+    assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+    shortened = df.Walk(
+        (points[0], df.Point.of(0, 0, 0, "1/2")), (replace(step, epsilon=Fraction(5, 14)),),
+        "circuit",
+    )
+    assert df.validate_walk(graph, costs, shortened) == df.WalkValidation(
+        False, "step 0 is not maximal"
+    )
+    wrong_length = df.Walk(points, (replace(step, epsilon=Fraction(61, 62)),), "circuit")
+    assert df.validate_walk(graph, costs, wrong_length) == df.WalkValidation(
+        False, "step 0 disagrees with its record"
+    )
+
+
 @pytest.mark.parametrize("name", list(BAD_WALKS))
 def test_validate_pins_every_violation(name, example):
     graph, points, steps, mode, violation = BAD_WALKS[name]
