@@ -286,10 +286,15 @@ def cost_vector(values: Iterable[int | str | Fraction]) -> CostVector:
 
 
 def check_costs(graph: Digraph, costs: Sequence[Fraction]) -> None:
+    """One cost per edge (else :class:`DimensionMismatch`), each an ``int``
+    or a ``Fraction`` (else :class:`FormatError`)."""
     if len(costs) != graph.edge_count:
         raise DimensionMismatch(
             f"{len(costs)} costs for {graph.edge_count} edges"
         )
+    for i, c in enumerate(costs):
+        if not isinstance(c, (int, Fraction)):
+            raise FormatError(f"bad cost {c!r} on edge {i}: expected an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -580,12 +585,22 @@ def check_vertices(
     :class:`InfeasibleInstance` when the polyhedron is empty) and a feasible
     non-vertex :class:`NotAVertex`.
     Runs on a :class:`Grid` fine enough for the points too."""
+    return _check_vertices(graph, costs, points)[1]
+
+
+def _check_vertices(
+    graph: Digraph, costs: Sequence[Fraction], points: Sequence[Point]
+) -> tuple[Grid, list[TightEdgeSet], list[tuple[int, ...]]]:
+    """:func:`check_vertices`, also returning its grid and each point's
+    state on it.  Vertices lie on the costs' grid, so the grid is the
+    costs' own once the check passes."""
+    check_costs(graph, costs)
     grid = Grid(costs, points)
-    tights = []
+    tights, states = [], []
     for point in points:
+        state = grid.to_state(point)
         try:
-            # checks the costs too
-            tight = tight_graph(graph, grid.costs, Point(grid.to_state(point)))
+            tight = tight_graph(graph, grid.costs, Point(state))
         except InfeasiblePoint:
             if not feasibility_status(graph, costs).feasible:
                 raise InfeasibleInstance(_NO_VERTEX) from None
@@ -598,7 +613,8 @@ def check_vertices(
         if component_count(graph.node_count, [graph.edges[i] for i in tight]) != 1:
             raise NotAVertex(f"{point} is not a vertex")
         tights.append(tight)
-    return tights
+        states.append(state)
+    return grid, tights, states
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,31 @@ edge at a time, stepping until the edge becomes tight and then pinning it,
 so that later steps keep it tight.  Only the step rule depends on the
 mode: pivots for edge walks, insertion partitions for circuit walks.
 
-The builders check their endpoints (:func:`dualflow.model.check_vertices`),
-then walk the original graph on the instance's integer view
-(:class:`dualflow.model.Grid`).  Pinning merges the classes at the edge's
+The builders check their endpoints (:func:`dualflow.model.check_vertices`)
+and walk the original graph on the grid that check built, the instance's
+integer view (:class:`dualflow.model.Grid`).  Pinning merges the classes at the edge's
 ends, a class being the nodes joined by pinned edges, and the step rules
 run on classes: an ordered pair of distinct classes stands for the edges
-between them, with the least of their slacks.  The driver keeps one slack
-per edge and updates it at the edges a step's S moves; every step is
+between them, with the least of their slacks, and a step's S is a
+circuit when it and its complement are connected among the classes.  The
+driver keeps one slack per edge and updates it at the edges a step's S
+moves; every step is
 recorded on the original graph as it is taken, with its length converted
 to :class:`~fractions.Fraction` once.  No contracted instance is built:
 :func:`contract_edge`, :func:`lift_point` and :func:`project_point` serve
 callers that want the face polyhedron itself.
 
 :func:`walk_from_points` turns the oracles' witness points into walks by
-re-deriving each step.  :func:`validate_walk` stays in rationals, as the
-independent check: it reads every verdict off one slack vector per point
-and calls none of the step code.
+re-deriving each step.  :func:`validate_walk` is the
+independent check: it reads every verdict off one integer slack vector per
+point, on a scale of its own (the lcm of the denominators of the costs and
+of the walk's coordinates), and uses neither :class:`~dualflow.model.Grid`
+nor any of the step code.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -58,11 +63,11 @@ from .model import (
     Digraph,
     Grid,
     Point,
+    _check_vertices,
     _find,
     bfs_parents,
     check_costs,
     check_spanning_tree,
-    check_vertices,
     component_count,
     feasibility_status,
     is_feasible,
@@ -368,6 +373,7 @@ def walk_from_points(
 ) -> Walk:
     """Assemble a walk by recovering the signed step of each move, on a grid
     fine enough for the points as well as the costs."""
+    check_costs(graph, costs)
     grid = Grid(costs, points)
     states = [Point(grid.to_state(p)) for p in points]
     steps = []
@@ -397,8 +403,9 @@ def _insertion_walk(
 ) -> Walk:
     """The walk that inserts each edge of the target's lexicographically
     smallest tight spanning tree in turn, stepping until the edge is tight
-    and then pinning it.  Runs on the grid, after the endpoint check; an
-    edge walk's target must carry no extra tight edge.
+    and then pinning it.  Runs on the grid and the endpoint states that
+    the endpoint check returns; an edge walk's target must carry no extra
+    tight edge.
 
     The state is the point, one slack per edge, updated only at the edges
     that cross a step's S, and a label per node naming its class, the nodes
@@ -409,15 +416,16 @@ def _insertion_walk(
     partition, whose reach set must grow every step.  Each step is recorded
     on the original graph as it is taken.
     """
-    _, target_tight = check_vertices(graph, costs, source, target)
+    grid, (_, target_tight), (source_state, target_state) = _check_vertices(
+        graph, costs, (source, target)
+    )
     n = graph.node_count
     if mode == "edge" and len(target_tight) != n - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
     if source == target:
         return Walk((source,), (), mode)
-    grid = Grid(costs)
     edges = graph.edges
-    state = list(grid.to_state(source))
+    state = list(source_state)
     slacks = [c - state[head] + state[tail] for c, (tail, head) in zip(grid.costs, edges)]
     label = list(range(n))
     coords = list(grid.to_point(state))
@@ -438,8 +446,9 @@ def _insertion_walk(
             adjacency[a].add(b)
             adjacency[b].add(a)
         inserting = [i for i, *_, pair in live if pair == (start, goal)]
+        pairs = {pair for *_, pair in live}
         c = len(classes)
-        bound = min(len({pair for *_, pair in live}), c * (c - 1) // 2)
+        bound = min(len(pairs), c * (c - 1) // 2)
         phase: list = []  # pivoted-out pairs, or reach sets
         while all(slacks[i] for i in inserting):
             tight = {pair for i, *_, pair in live if not slacks[i]}
@@ -460,9 +469,13 @@ def _insertion_walk(
                 phase.append(reach)
                 if len(phase) > c - 1:
                     raise InternalInvariant("insertion phase exceeded its guaranteed bound")
-            s_set = frozenset(v for v in range(n) if label[v] in s_classes)
-            if not is_valid_circuit(graph, s_set):
+            # each class is joined by pinned edges, so S and its complement
+            # are connected iff they are among the classes (the n - c unused
+            # labels count as one component each)
+            inside = [(a, b) for a, b in pairs if (a in s_classes) == (b in s_classes)]
+            if ANCHOR in s_classes or component_count(n, inside) != n - c + 2:
                 raise InternalInvariant("a step's S is not a circuit of the graph")
+            s_set = frozenset(v for v in range(n) if label[v] in s_classes)
             # a rise is blocked by the edges into S, a fall by those out of it
             blocking, loosening = [], []
             for i, tail, head, _ in live:
@@ -497,7 +510,7 @@ def _insertion_walk(
         # pin the inserted pair: its higher label joins the lower one
         kept, merged = sorted((start, goal))
         label = [kept if x == merged else x for x in label]
-    if tuple(state) != grid.to_state(target):
+    if tuple(state) != target_state:
         raise InternalInvariant(f"{mode} walk did not terminate at the target")
     return Walk(tuple(points), tuple(steps), mode)
 
@@ -547,11 +560,15 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
     every point must additionally be a vertex and consecutive pairs must be
     adjacent on the skeleton.
 
-    Every check reads one slack vector per point, in rationals: the first
-    point's comes from the costs, and each later point's is the one before
-    with the edges at moved nodes recomputed, ``s_i -= d_head - d_tail`` for
-    the coordinate differences ``d``.  No step code of the builders runs
-    here.
+    Every check reads one integer slack vector per point, on the walk's own
+    scale ``L``: the lcm of the denominators of the costs and of every
+    coordinate of every point, so that each point converts to integers
+    exactly, once.  The first point's slacks come from the costs, and each
+    later point's are the ones before with the edges at moved nodes
+    recomputed, ``s_i -= d_head - d_tail`` for the coordinate differences
+    ``d``.  The scale is computed here, not taken from
+    :class:`~dualflow.model.Grid`, and no step code of the builders runs
+    here, so the check shares no arithmetic with what it checks.
     """
     edges = graph.edges
     into: list[list[int]] = [[] for _ in range(graph.node_count)]
@@ -559,21 +576,25 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
     for i, (tail, head) in enumerate(edges):
         out[tail].append(i)
         into[head].append(i)
-    slacks: list[list[Fraction]] = []
-    shifts: list[dict[int, Fraction]] = []  # per move: node -> difference
+    slacks: list[list[int]] = []
+    shifts: list[dict[int, int]] = []  # per move: node -> difference
     for k, point in enumerate(walk.points):
         if len(point) != graph.node_count:
             return WalkValidation(False, f"point {k} has the wrong dimension")
         if not slacks:
             check_costs(graph, costs)
-            s = [c - point[head] + point[tail] for c, (tail, head) in zip(costs, edges)]
+            denominators = {c.denominator for c in costs}
+            denominators.update(x.denominator for p in walk.points for x in p.coords)
+            scale = math.lcm(1, *denominators)
+            state = [x.numerator * (scale // x.denominator) for x in point]
+            s = [
+                c.numerator * (scale // c.denominator) - state[head] + state[tail]
+                for c, (tail, head) in zip(costs, edges)
+            ]
             recomputed: Sequence[int] = range(len(s))
         else:
-            shift = {
-                v: x - y
-                for v, (x, y) in enumerate(zip(point.coords, walk.points[k - 1].coords))
-                if x != y
-            }
+            previous, state = state, [x.numerator * (scale // x.denominator) for x in point]
+            shift = {v: x - y for v, (x, y) in enumerate(zip(state, previous)) if x != y}
             shifts.append(shift)
             s, recomputed = slacks[-1].copy(), []
             for v, d in shift.items():
@@ -610,7 +631,7 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
         if not is_valid_circuit(graph, s_set):
             return WalkValidation(False, f"step {k} uses an invalid circuit")
         sign = 1 if delta > 0 else -1
-        if sign != step.sign or abs(delta) != step.epsilon:
+        if sign != step.sign or Fraction(abs(delta), scale) != step.epsilon:
             return WalkValidation(False, f"step {k} disagrees with its record")
         # edges into S block a rise, edges out of S a fall, and each loses
         # the step's length of slack: the step is maximal when one ends

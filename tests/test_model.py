@@ -109,6 +109,24 @@ def test_builder_rejects_a_float_endpoint(example, far_vertex):
         df.circuit_walk(graph, costs, df.Point((0, 0, 0, 0.0)), far_vertex)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, c, a, b: df.circuit_walk(g, c, a, b),
+        lambda g, c, a, b: df.edge_walk(g, c, a, b),
+        lambda g, c, a, b: df.circuit_distance(g, c, a, b),
+        lambda g, c, a, b: df.enumerate_vertices(g, c),
+        lambda g, c, a, b: df.validate_walk(g, c, df.Walk((a,), (), "circuit")),
+    ],
+    ids=["circuit_walk", "edge_walk", "circuit_distance", "enumerate_vertices", "validate_walk"],
+)
+def test_a_float_cost_is_a_format_error(call, example, near_vertex, far_vertex):
+    graph, costs = example
+    bad = costs[:2] + (0.5,) + costs[3:]
+    with pytest.raises(df.FormatError, match=r"^bad cost 0\.5 on edge 2: expected an int or a Fraction$"):
+        call(graph, bad, near_vertex, far_vertex)
+
+
 def test_serialize_round_trip_preserves_order(example):
     graph, costs = example
     text = df.serialize_graph(graph, costs)

@@ -875,6 +875,8 @@ def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
         "dualflow.walks.is_feasible",
         "dualflow.model.tight_graph",
         "dualflow.model.is_feasible",
+        "dualflow.walks.Grid",
+        "dualflow.model.Grid",
     ):
         monkeypatch.setattr(name, _step_code_called)
     for graph, costs, walk in built:
@@ -899,6 +901,39 @@ def test_builders_build_no_contracted_instance(monkeypatch, near_vertex, far_ver
                 assert walk.points[0] == a and walk.points[-1] == b
                 assert walk.length > 0
                 assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+
+
+def test_builders_build_one_grid_and_no_whole_graph_circuit_test(
+    monkeypatch, near_vertex, far_vertex
+):
+    """Each builder call builds one Grid, in its endpoint check, and tests
+    its steps' circuits on the node classes, not on the whole graph."""
+    grids = []
+
+    class CountingGrid(Grid):
+        def __init__(self, *args, **kwargs):
+            grids.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("dualflow.model.Grid", CountingGrid)
+    monkeypatch.setattr("dualflow.walks.Grid", CountingGrid)
+    monkeypatch.setattr("dualflow.walks.is_valid_circuit", _step_code_called)
+    built = []
+    for k in (2, 3):
+        graph, costs = df.family_gk(k)
+        source, target = (
+            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
+        )
+        for builder in (df.edge_walk, df.circuit_walk):
+            for a, b in ((source, target), (target, source)):
+                grids.clear()
+                walk = builder(graph, costs, a, b)
+                assert len(grids) == 1, (builder.__name__, k)
+                assert walk.length > 0
+                built.append((graph, costs, walk))
+    monkeypatch.undo()
+    for graph, costs, walk in built:
+        assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
 
 
 def _corruptions(graph, step):
