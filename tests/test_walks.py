@@ -854,19 +854,25 @@ def _step_code_called(*args, **kwargs):
     raise AssertionError("validate_walk ran step code")
 
 
+def _gk_ends(ks, near_vertex, far_vertex):
+    """gk(k)'s near and far vertices for each k, in both orders."""
+    for k in ks:
+        graph, costs = df.family_gk(k)
+        near, far = (
+            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
+        )
+        yield from ((graph, costs, near, far), (graph, costs, far, near))
+
+
 def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
     """Built walks validate with the builders' step code and the model's
     feasibility and tightness helpers all broken: the validator derives its
     verdict from the points and records alone."""
-    built = []
-    for k in (1, 3):
-        graph, costs = df.family_gk(k)
-        source, target = (
-            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
-        )
-        for builder in (df.edge_walk, df.circuit_walk):
-            built += [(graph, costs, builder(graph, costs, a, b)) for a, b in
-                      ((source, target), (target, source))]
+    built = [
+        (graph, costs, builder(graph, costs, a, b))
+        for graph, costs, a, b in _gk_ends((1, 3), near_vertex, far_vertex)
+        for builder in (df.edge_walk, df.circuit_walk)
+    ]
     for name in (
         "dualflow.circuits._max_step",
         "dualflow.circuits._blocking_edges",
@@ -890,17 +896,12 @@ def test_builders_build_no_contracted_instance(monkeypatch, near_vertex, far_ver
     walks still build and validate in both modes and both directions."""
     monkeypatch.setattr("dualflow.walks._contract", _step_code_called)
     monkeypatch.setattr("dualflow.walks._step_between", _step_code_called)
-    for k in (2, 3):
-        graph, costs = df.family_gk(k)
-        source, target = (
-            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
-        )
+    for graph, costs, a, b in _gk_ends((2, 3), near_vertex, far_vertex):
         for builder in (df.edge_walk, df.circuit_walk):
-            for a, b in ((source, target), (target, source)):
-                walk = builder(graph, costs, a, b)
-                assert walk.points[0] == a and walk.points[-1] == b
-                assert walk.length > 0
-                assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+            walk = builder(graph, costs, a, b)
+            assert walk.points[0] == a and walk.points[-1] == b
+            assert walk.length > 0
+            assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
 
 
 def test_builders_build_one_grid_and_no_whole_graph_circuit_test(
@@ -919,18 +920,13 @@ def test_builders_build_one_grid_and_no_whole_graph_circuit_test(
     monkeypatch.setattr("dualflow.walks.Grid", CountingGrid)
     monkeypatch.setattr("dualflow.walks.is_valid_circuit", _step_code_called)
     built = []
-    for k in (2, 3):
-        graph, costs = df.family_gk(k)
-        source, target = (
-            df.Point(p.coords[:1] + p.coords[1:] * k) for p in (near_vertex, far_vertex)
-        )
+    for graph, costs, a, b in _gk_ends((2, 3), near_vertex, far_vertex):
         for builder in (df.edge_walk, df.circuit_walk):
-            for a, b in ((source, target), (target, source)):
-                grids.clear()
-                walk = builder(graph, costs, a, b)
-                assert len(grids) == 1, (builder.__name__, k)
-                assert walk.length > 0
-                built.append((graph, costs, walk))
+            grids.clear()
+            walk = builder(graph, costs, a, b)
+            assert len(grids) == 1, (builder.__name__, graph.node_count)
+            assert walk.length > 0
+            built.append((graph, costs, walk))
     monkeypatch.undo()
     for graph, costs, walk in built:
         assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
