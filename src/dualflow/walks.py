@@ -8,24 +8,24 @@ mode: pivots for edge walks, insertion partitions for circuit walks.
 
 The builders check their endpoints (:func:`dualflow.model.check_vertices`)
 and walk the original graph on the grid that check built, the instance's
-integer view (:class:`dualflow.model.Grid`).  Pinning merges the classes at the edge's
-ends, a class being the nodes joined by pinned edges, and the step rules
-run on classes: an ordered pair of distinct classes stands for the edges
-between them, with the least of their slacks, and a step's S is a
-circuit when it and its complement are connected among the classes.  The
-driver keeps one slack per edge and updates it at the edges a step's S
-moves; every step is
-recorded on the original graph as it is taken, with its length converted
-to :class:`~fractions.Fraction` once.  No contracted instance is built:
-:func:`contract_edge`, :func:`lift_point` and :func:`project_point` serve
-callers that want the face polyhedron itself.
+integer view (:class:`dualflow.model.Grid`).  Pinning merges the classes
+at the edge's ends, a class being the nodes joined by pinned edges, and
+the step rules run on classes: an ordered pair of distinct classes stands
+for the edges between them, with the least of their slacks, and a step's
+S is a circuit when it and its complement are connected among the
+classes.  The driver keeps one slack per edge and updates it at the edges
+a step's S moves; every step is recorded on the original graph as it is
+taken, with its length converted to :class:`~fractions.Fraction` once.
+No contracted instance is built: :func:`contract_edge`, :func:`lift_point`
+and :func:`project_point` serve callers that want the face polyhedron
+itself.
 
 :func:`walk_from_points` turns the oracles' witness points into walks by
-re-deriving each step.  :func:`validate_walk` is the
-independent check: it reads every verdict off one integer slack vector per
-point, on a scale of its own (the lcm of the denominators of the costs and
-of the walk's coordinates), and uses neither :class:`~dualflow.model.Grid`
-nor any of the step code.
+re-deriving each step.  :func:`validate_walk` is the independent check:
+it reads every verdict off one integer slack vector per point, on a scale
+of its own (the lcm of the denominators of the costs and of the walk's
+coordinates), and uses neither :class:`~dualflow.model.Grid` nor any of
+the step code.
 """
 
 from __future__ import annotations
