@@ -244,13 +244,26 @@ def reference_search(graph, costs, source, targets):
     return {t: depth[t] for t in targets}, chains, parents
 
 
-def test_goal_tested_search_matches_full_expansion():
-    """The search that tests its last layer instead of generating it finds
-    the lengths and chains of a search that generates every layer, for one
-    target and for all targets; its one-step test accepts exactly the
-    neighbours among the start, the neighbours and the states two steps
-    away."""
-    from dualflow.oracle import _scaled_instance
+def test_goal_tested_search_matches_full_expansion(monkeypatch):
+    """The search that tests its last one or two layers instead of
+    generating them finds the lengths and chains of a search that generates
+    every layer, for one target and for several; its one-step test accepts
+    exactly the neighbours among the start, the neighbours and the states
+    two steps away.  On instances with at least 4·|V| directions the
+    two-step test fires, and a search capped one below a target's depth
+    raises: no two-step hit lands past the cap."""
+    from dualflow.oracle import _ScaledInstance, _scaled_instance
+
+    hits = []
+    two_step = _ScaledInstance.two_step
+
+    def counted(self, state, target):
+        middle = two_step(self, state, target)
+        if middle is not None:
+            hits.append(middle)
+        return middle
+
+    monkeypatch.setattr(_ScaledInstance, "two_step", counted)
 
     rng = random.Random(101)
     degenerate = 0
@@ -283,6 +296,89 @@ def test_goal_tested_search_matches_full_expansion():
             assert all(scaled.one_step(state, n) for n in near)
             assert not any(scaled.one_step(state, s) for s in two_away)
     assert degenerate >= 2
+
+    gated = [
+        df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+        for m, n in ((2, 4), (3, 3))
+    ]
+    gated += [
+        random_sub_tournament(rng, 6, skip=0.0, integer_costs=integer_costs)
+        for integer_costs in (False, True)
+    ]
+    for graph, costs in gated:
+        assert len(_scaled_instance(graph, costs).directions) >= 4 * graph.node_count
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        source = rng.choice(vertices)
+        others = [v for v in vertices if v != source]
+        depths = circuit_search(
+            graph, costs, source, others, default_depth_cap(graph), 10**6
+        ).lengths
+        # two or three steps away: the two-step test decides them, and the
+        # reference's full expansion of the layers before stays cheap
+        near = [v for v in others if 2 <= depths[v] <= 3]
+        targets = rng.sample(near, min(3, len(near)))
+        lengths, chains, _ = reference_search(graph, costs, source, targets)
+        hits.clear()
+        for group in [[t] for t in targets] + [targets]:
+            depth_cap = max(lengths[t] for t in group)
+            reach = circuit_search(graph, costs, source, group, depth_cap, 10**6)
+            assert reach.lengths == {t: lengths[t] for t in group}
+            for target in group:
+                assert reach.chain(target) == chains[target]
+            with pytest.raises(df.DepthCapExceeded):
+                circuit_search(graph, costs, source, group, depth_cap - 1, 10**6)
+        assert hits
+
+
+def step_of(state, target):
+    """The set S and the value δ of the step ``target - state``."""
+    moved = frozenset(v for v, (a, b) in enumerate(zip(state, target)) if a != b)
+    (delta,) = {target[v] - state[v] for v in moved}
+    return moved, delta
+
+
+def test_two_step_test_matches_brute_force():
+    """For sampled states x and every state t of a pool around them, the
+    two-step test hits exactly when t is in N(N(x)) but neither x nor in
+    N(x), with ``neighbors`` as the reference, and returns the first state
+    z of N(x), in generation order, that has t in N(z).  Every case of the
+    rule is hit: δ₁ = δ₂, δ₁ = −δ₂, S₁ ⊊ S₂ and S₂ ⊊ S₁."""
+    from dualflow.oracle import _scaled_instance
+
+    rng = random.Random(103)
+    instances = [
+        df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+        for m, n in ((2, 4), (3, 3))
+    ]
+    for index in range(12):
+        instances.append(
+            random_sub_tournament(rng, 3 + index % 4, integer_costs=index % 2 == 1)
+        )
+    cases = dict.fromkeys(("equal", "opposite", "S1 in S2", "S2 in S1"), 0)
+    for graph, costs in instances:
+        scaled = _scaled_instance(graph, costs)
+        vertex = scaled.to_state(rng.choice(df.enumerate_vertices(graph, costs).vertices))
+        near = list(dict.fromkeys(scaled.neighbors(vertex)))
+        pool = set(near) | {s for n in near for s in scaled.neighbors(n)} | {vertex}
+        for state in [vertex] + rng.sample(sorted(pool), min(3, len(pool))):
+            one = scaled.neighbors(state)
+            first = {}  # each state two steps away -> its first middle state
+            for middle in one:
+                for target in scaled.neighbors(middle):
+                    first.setdefault(target, middle)
+            for target in pool | set(first):
+                middle = scaled.two_step(state, target)
+                if target == state or target in one or target not in first:
+                    assert middle is None
+                    continue
+                assert middle == first[target]
+                s1, d1 = step_of(state, middle)
+                s2, d2 = step_of(middle, target)
+                cases["equal"] += d1 == d2
+                cases["opposite"] += d1 == -d2
+                cases["S1 in S2"] += s1 < s2
+                cases["S2 in S1"] += s2 < s1
+    assert all(cases.values()), cases
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +877,40 @@ def test_circuit_caps_bound_the_whole_query_on_gk2():
         df.diameter(graph, costs, "circuit", state_cap=20)
 
 
+def test_cap_errors_name_the_caps_as_passed(example):
+    """On an instance with two blocks, the second block's search fails with
+    only what the first left of each cap, and the error still names the
+    caps the caller passed."""
+    graph, costs = example
+    triangle = df.Digraph(3, ((0, 1), (1, 2), (2, 0)))
+    glued, glued_costs, _ = df.glue(
+        [(graph, costs, 0), (triangle, (Fraction(1),) * 3, 0)]
+    )
+    assert len(blocks(glued)) == 2
+    whole = df.diameter(glued, glued_costs, "circuit")
+    assert whole.value == 5
+    with pytest.raises(df.DepthCapExceeded, match="within depth 4$"):
+        df.diameter(glued, glued_costs, "circuit", depth_cap=4)
+    with pytest.raises(df.FrontierTooLarge, match="more than 74 states"):
+        df.diameter(glued, glued_costs, "circuit", state_cap=74)
+    source, target = whole.pair
+    distance = df.circuit_distance(glued, glued_costs, source, target).length
+    assert distance == 5
+    with pytest.raises(df.DepthCapExceeded, match=f"within depth {distance - 1}$"):
+        df.circuit_distance(glued, glued_costs, source, target, depth_cap=distance - 1)
+    stored = 0
+    while True:
+        try:
+            df.circuit_distance(glued, glued_costs, source, target, state_cap=stored)
+            break
+        except df.FrontierTooLarge as error:
+            assert str(error) == f"more than {stored} states explored"
+            stored += 1
+    # the example's search stores 74 states and the triangle's 2, so caps
+    # 74 and 75 fail in the triangle's search, with 0 and 1 left
+    assert stored == 76
+
+
 def test_gk3_circuit_distance():
     graph, costs = df.family_gk(3)
     near, far = gk_pair(3)
@@ -791,9 +921,9 @@ def test_gk3_circuit_distance():
 
 def test_goal_test_stores_a_tenth_of_the_bipartite_3x4_search():
     """A distance-4 query on bipartite 3x4 stored 229,243 states when the
-    search generated its last layer; testing that layer instead stores
-    fewer than a tenth of them.  The state cap counts the target found by
-    the test too."""
+    search generated its last layer, and 9,685 when it tested that layer.
+    Testing the last two layers stores 416: the two expanded layers and the
+    winning chain.  The state cap counts that chain too."""
     graph, costs = df.complete_bipartite(3, 4, df.random_bipartite_costs(3, 4, 7))
     vertices = df.enumerate_vertices(graph, costs).vertices
     source, target = vertices[0], vertices[-1]
@@ -801,11 +931,23 @@ def test_goal_test_stores_a_tenth_of_the_bipartite_3x4_search():
     reach = circuit_search(graph, costs, source, [target], depth_cap, 10**6)
     assert reach.lengths[target] == 4
     stored = len(reach.parents)
-    assert stored < 22_924
+    assert stored == 416
     capped = circuit_search(graph, costs, source, [target], depth_cap, stored)
     assert capped.lengths == {target: 4}
     with pytest.raises(df.FrontierTooLarge):
         circuit_search(graph, costs, source, [target], depth_cap, stored - 1)
+
+
+def test_bipartite_4x5_first_to_last_circuit_distance_within_default_caps():
+    """The search that generated its last layer, and the one that tested
+    it, both raised FrontierTooLarge here; testing two layers answers."""
+    graph, costs = df.complete_bipartite(4, 5, df.random_bipartite_costs(4, 5, 7))
+    vertices = df.enumerate_vertices(graph, costs).vertices
+    result = df.circuit_distance(graph, costs, vertices[0], vertices[-1])
+    assert result.length == 5
+    assert df.validate_walk(graph, costs, result.walk).valid
+    assert result.walk.points[0] == vertices[0]
+    assert result.walk.points[-1] == vertices[-1]
 
 
 def test_bipartite_4x4_circuit_distance_within_default_caps():
