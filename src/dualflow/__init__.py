@@ -7,11 +7,13 @@ combinatorial and circuit distances and diameters exactly.
 """
 
 from .circuits import (
+    CircuitNeighbor,
     PartitionCircuit,
     SignedStep,
     apply_circuit_step,
     circuit_vector,
     enumerate_partitions,
+    first_circuit_neighbors,
     is_valid_circuit,
     max_step,
     step_between,
@@ -80,14 +82,12 @@ from .model import (
     vertex_from_tree,
 )
 from .oracle import (
-    CircuitNeighbor,
     DistanceResult,
     DiameterResult,
     are_adjacent,
     circuit_distance,
     combinatorial_distance,
     diameter,
-    first_circuit_neighbors,
 )
 from .walks import (
     ContractionRecord,

@@ -3,15 +3,20 @@
 A circuit is canonically stored as the node set S with the anchor outside;
 its direction vector is 1 on S and 0 elsewhere.  A positive step raises the
 S coordinates until an edge crossing into S becomes tight; a negative step
-lowers them until an edge leaving S becomes tight.
+lowers them until an edge leaving S becomes tight.  Every step outside
+:func:`dualflow.walks.validate_walk` reads that rule here: one S's split by
+:func:`crossing_edges`, or every S's in the graph's :func:`direction_table`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from itertools import combinations, compress
+from operator import ne, sub
+from types import MappingProxyType
+from typing import Any, Collection, Mapping, Sequence
 
 from .errors import (
     InfeasiblePoint,
@@ -77,7 +82,7 @@ def enumerate_partitions(graph: Digraph) -> tuple[PartitionCircuit, ...]:
     others = range(1, graph.node_count)
     candidates = []
     for size in range(1, graph.node_count):
-        for combo in itertools.combinations(others, size):
+        for combo in combinations(others, size):
             candidates.append(combo)
     candidates.sort()
     result = []
@@ -97,24 +102,41 @@ def circuit_vector(circuit: PartitionCircuit, node_count: int) -> tuple[Fraction
     )
 
 
-def _blocking_edges(
-    graph: Digraph, circuit: PartitionCircuit, sign: int
-) -> list[int]:
-    """Edges whose slack shrinks along the signed direction.
-
-    Sign + moves S up, so edges from the complement into S block; sign -
-    moves S down, so edges from S out block.
-    """
-    s_set = circuit.s_set
-    result = []
+def crossing_edges(graph: Digraph, s_set: Collection[int]) -> tuple[list[int], list[int]]:
+    """The edges crossing S, in one pass: those into S and those out of it.
+    A rise of S is blocked by the first and loosens the second; a fall is
+    the other way round."""
+    into, out = [], []
     for i, (tail, head) in enumerate(graph.edges):
-        tail_in = tail in s_set
         head_in = head in s_set
-        if sign > 0 and head_in and not tail_in:
-            result.append(i)
-        elif sign < 0 and tail_in and not head_in:
-            result.append(i)
-    return result
+        if head_in != (tail in s_set):
+            (into if head_in else out).append(i)
+    return into, out
+
+
+@lru_cache(maxsize=64)
+def direction_table(graph: Digraph) -> Mapping[tuple[tuple[int, ...], int], tuple[int, ...]]:
+    """``(sorted S, sign)`` -> blocking edges for every signed circuit that
+    some edge blocks, in circuit order, sign +1 first.  It is exponential in
+    the node count: only callers that visit every circuit read it."""
+    table = {}
+    for circuit in enumerate_partitions(graph):
+        members = tuple(sorted(circuit.s_set))
+        for sign, blocking in zip((1, -1), crossing_edges(graph, circuit.s_set)):
+            if blocking:
+                table[members, sign] = tuple(blocking)
+    return MappingProxyType(table)
+
+
+def uniform_shift(source: Sequence, target: Sequence) -> tuple[tuple[int, ...], Any] | None:
+    """``(sorted S, δ)`` when ``target - source`` is δ ≠ 0 on the nodes of S
+    and 0 elsewhere, else None; rational or grid coordinates alike."""
+    values = set(map(sub, target, source))
+    values.discard(0)
+    if len(values) != 1:
+        return None
+    (delta,) = values
+    return tuple(compress(range(len(source)), map(ne, source, target))), delta
 
 
 def max_step(
@@ -135,7 +157,8 @@ def max_step(
         raise ValidationError("not a circuit of this graph")
     if not is_feasible(graph, costs, point):
         raise InfeasiblePoint("max_step requires a feasible start")
-    return _max_step(graph, costs, point, circuit, sign)
+    into, out = crossing_edges(graph, circuit.s_set)
+    return _max_step(graph, costs, point, circuit, sign, into if sign > 0 else out)
 
 
 def _max_step(
@@ -144,12 +167,12 @@ def _max_step(
     point: Point,
     circuit: PartitionCircuit,
     sign: int,
+    blocking: Sequence[int],
 ) -> SignedStep:
     """:func:`max_step` for callers that already hold a valid circuit, a
-    sign of +1 or -1 and a feasible point of this instance."""
-    slacks = {
-        i: slack(graph, costs, point, i) for i in _blocking_edges(graph, circuit, sign)
-    }
+    sign of +1 or -1, a feasible point of this instance and the edges that
+    block the signed circuit."""
+    slacks = {i: slack(graph, costs, point, i) for i in blocking}
     if not slacks:
         raise UnboundedDirection("no edge bounds this direction")
     epsilon = min(slacks.values())
@@ -157,6 +180,35 @@ def _max_step(
         raise NotApplicable("a blocking edge is already tight")
     entering = frozenset(i for i, s in slacks.items() if s == epsilon)
     return SignedStep(circuit, sign, epsilon, entering)
+
+
+@dataclass(frozen=True)
+class CircuitNeighbor:
+    """One reachable point together with the signed step that lands on it."""
+
+    point: Point
+    steps: tuple[SignedStep, ...]
+
+
+def first_circuit_neighbors(
+    graph: Digraph, costs: Sequence[Fraction], point: Point
+) -> tuple[CircuitNeighbor, ...]:
+    """The destination of the maximal step along every applicable signed
+    circuit, in circuit order; inapplicable and unbounded directions are
+    dropped.  A destination fixes S, the sign and the step length, so no two
+    directions share one."""
+    if not is_feasible(graph, costs, point):
+        raise InfeasiblePoint("max_step requires a feasible start")
+    neighbors = []
+    for (members, sign), blocking in direction_table(graph).items():
+        circuit = PartitionCircuit(frozenset(members))
+        try:
+            step = _max_step(graph, costs, point, circuit, sign, blocking)
+        except NotApplicable:
+            continue
+        destination = shift_point(point, circuit.s_set, sign * step.epsilon)
+        neighbors.append(CircuitNeighbor(destination, (step,)))
+    return tuple(neighbors)
 
 
 def apply_circuit_step(
@@ -178,7 +230,9 @@ def step_between(
     """Recover the unique signed circuit step carrying source to target.
 
     The difference must be a positive multiple of a circuit's 0/1 vector and
-    the step must be maximal at the source; raises ValidationError otherwise.
+    the step must be maximal at the source, which must be feasible (else
+    :class:`InfeasiblePoint`); any other move, one blocked at the source or
+    unbounded included, raises :class:`ValidationError` naming why.
     """
     return _step_between(graph, costs, source, target, 1)
 
@@ -195,24 +249,17 @@ def _step_between(
     units, and the error message prints the instance's rationals."""
     if len(source) != len(target):
         raise ValidationError("points have different lengths")
-    moved = {
-        v for v in range(len(source.coords)) if source.coords[v] != target.coords[v]
-    }
-    if not moved:
+    if source == target:
         raise ValidationError("points are identical")
-    if ANCHOR in moved:
-        raise ValidationError("anchor coordinate moved")
-    deltas = {target.coords[v] - source.coords[v] for v in moved}
-    if len(deltas) != 1:
+    shift = uniform_shift(source.coords, target.coords)
+    if shift is None:
         raise ValidationError("difference is not a multiple of a 0/1 vector")
-    delta = deltas.pop()
-    s_set = frozenset(moved)
-    if not is_valid_circuit(graph, s_set):
-        raise ValidationError("moved nodes do not form a circuit")
-    if not is_feasible(graph, costs, source):
-        raise InfeasiblePoint("max_step requires a feasible start")
-    sign = 1 if delta > 0 else -1
-    step = _max_step(graph, costs, source, PartitionCircuit(s_set), sign)
+    members, delta = shift
+    circuit, sign = PartitionCircuit(frozenset(members)), 1 if delta > 0 else -1
+    try:
+        step = max_step(graph, costs, source, circuit, sign)
+    except (NotApplicable, UnboundedDirection) as exc:
+        raise ValidationError(f"step is not maximal: {exc}") from exc
     if step.epsilon != abs(delta):
         length, maximal = Fraction(abs(delta), scale), Fraction(step.epsilon, scale)
         raise ValidationError(f"step is not maximal: moved {length}, maximal {maximal}")

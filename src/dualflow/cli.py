@@ -22,7 +22,7 @@ from .errors import (
     InternalInvariant,
     NotApplicable,
 )
-from .circuits import PartitionCircuit, max_step
+from .circuits import PartitionCircuit, first_circuit_neighbors, max_step
 from .instances import (
     complete_bipartite,
     example_graph,
@@ -302,7 +302,7 @@ def verify_example(
         Point.of(0, 1, 1, 1): Point.of(0, "-1/3", "1/3", 1),
     }
     try:
-        neighbors = oracle.first_circuit_neighbors(graph, costs, near)
+        neighbors = first_circuit_neighbors(graph, costs, near)
         ok = len(neighbors) == 6 and {n.point for n in neighbors} == set(first_steps)
         if ok:
             for destination, expected_gap in first_steps.items():

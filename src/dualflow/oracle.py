@@ -20,9 +20,10 @@ Circuit walks search the instance's integer view,
 :class:`dualflow.model.Grid` (all coordinates are multiples of 1/L where L
 is the lcm of the cost denominators), which keeps the states hashable and
 the arithmetic cheap without leaving exact arithmetic.  Its directions and
-their blocking edges come from :mod:`dualflow.circuits`, so the search
-stops each step where :func:`dualflow.circuits.max_step` does; only the
-slack arithmetic runs on integers.  That space tests whether its last
+their blocking edges are the graph's
+:func:`dualflow.circuits.direction_table`, so the search stops each step
+where :func:`dualflow.circuits.max_step` does; only the slack arithmetic
+runs on integers.  That space tests whether its last
 targets lie one or two steps from the frontier instead of generating the
 layers that hold them (see :meth:`_ScaledInstance.goal_test`), so the
 search stores only the layers it expands and the chains to those targets.
@@ -35,24 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import ne, sub
+from operator import sub
 from typing import Sequence
 
-from .circuits import (
-    SignedStep,
-    _blocking_edges,
-    _max_step,
-    enumerate_partitions,
-)
+from .circuits import direction_table, uniform_shift
 from .errors import (
     DepthCapExceeded,
     FrontierTooLarge,
     IdenticalPoints,
     InfeasibleInstance,
-    InfeasiblePoint,
-    NotApplicable,
-    UnboundedDirection,
     ValidationError,
 )
 from .model import (
@@ -69,9 +61,7 @@ from .model import (
     check_vertices,
     component_count,
     enumerate_vertices,
-    is_feasible,
     join_points,
-    shift_point,
 )
 from .walks import Walk, walk_from_points
 
@@ -100,35 +90,6 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
     return component_count(graph.node_count, [graph.edges[i] for i in common]) == 2
 
 
-@dataclass(frozen=True)
-class CircuitNeighbor:
-    """One reachable point together with the signed step that lands on it."""
-
-    point: Point
-    steps: tuple[SignedStep, ...]
-
-
-def first_circuit_neighbors(
-    graph: Digraph, costs: CostVector, point: Point
-) -> tuple[CircuitNeighbor, ...]:
-    """The destination of the maximal step along every applicable signed
-    circuit, in circuit order; inapplicable and unbounded directions are
-    dropped.  A destination fixes S, the sign and the step length, so no two
-    directions share one."""
-    if not is_feasible(graph, costs, point):
-        raise InfeasiblePoint("max_step requires a feasible start")
-    neighbors = []
-    for circuit in enumerate_partitions(graph):
-        for sign in (1, -1):
-            try:
-                step = _max_step(graph, costs, point, circuit, sign)
-            except (NotApplicable, UnboundedDirection):
-                continue
-            destination = shift_point(point, circuit.s_set, sign * step.epsilon)
-            neighbors.append(CircuitNeighbor(destination, (step,)))
-    return tuple(neighbors)
-
-
 # ---------------------------------------------------------------------------
 # search spaces
 
@@ -141,20 +102,12 @@ class _ScaledInstance(Grid):
         super().__init__(costs)
         self.tails = [e[0] for e in graph.edges]
         self.heads = [e[1] for e in graph.edges]
-        # (members of S, sign) -> blocking edges, per bounded signed circuit
-        self.directions: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        for circuit in enumerate_partitions(graph):
-            members = tuple(sorted(circuit.s_set))
-            for sign in (1, -1):
-                blocking = tuple(_blocking_edges(graph, circuit, sign))
-                if blocking:
-                    self.directions[members, sign] = blocking
-        # the two-step test's view of the directions: the directions in
-        # generation order, and each one's rank keyed by (bitmask of S, sign)
-        self.ranked = tuple(self.directions.items())
+        self.directions = direction_table(graph)
+        # the two-step test's index of the directions: (bitmask of S, sign)
+        # -> the direction's rank in generation order and its members
         self.ranks = {
-            (sum(1 << v for v in members), sign): rank
-            for rank, ((members, sign), _) in enumerate(self.ranked)
+            (sum(1 << v for v in members), sign): (rank, members)
+            for rank, (members, sign) in enumerate(self.directions)
         }
         self.free_nodes = (1 << graph.node_count) - 2  # every node but the anchor
         # Testing a frontier state for two steps took 12-15 µs on every block
@@ -189,12 +142,10 @@ class _ScaledInstance(Grid):
         """Whether ``target`` is in ``neighbors(state)``, decided from the
         difference alone: it must be δ on the members of one direction of
         sign(δ), whose smallest blocking slack is exactly |δ|."""
-        values = set(map(sub, target, state))
-        values.discard(0)
-        if len(values) != 1:
+        shift = uniform_shift(state, target)
+        if shift is None:
             return False
-        (delta,) = values
-        members = tuple(compress(range(len(state)), map(ne, state, target)))
+        members, delta = shift
         blocking = self.directions.get((members, 1 if delta > 0 else -1))
         return blocking is not None and self.slack(state, blocking) == abs(delta)
 
@@ -243,7 +194,7 @@ class _ScaledInstance(Grid):
             for c in values | {0}:
                 if c != second:
                     pairs.update(((c - second, second), (second, c - second)))
-        candidates = set()  # (rank, δ₁) of each direction S₁ may be
+        candidates = set()  # (rank, δ₁, members) of each direction S₁ may be
         for first, second in pairs:
             both = first + second
             if not classes.keys() <= {first, second, both}:
@@ -257,14 +208,14 @@ class _ScaledInstance(Grid):
             sign = 1 if first > 0 else -1
             subset = open_nodes
             while True:
-                rank = self.ranks.get((fixed | subset, sign))
-                if rank is not None:
-                    candidates.add((rank, first))
+                entry = self.ranks.get((fixed | subset, sign))
+                if entry is not None:
+                    candidates.add((entry[0], first, entry[1]))
                 if not subset:
                     break
                 subset = (subset - 1) & open_nodes
-        for rank, first in sorted(candidates):
-            (members, _), blocking = self.ranked[rank]
+        for _, first, members in sorted(candidates):
+            blocking = self.directions[members, 1 if first > 0 else -1]
             if self.slack(state, blocking) != abs(first):
                 continue
             middle = list(state)

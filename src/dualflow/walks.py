@@ -14,14 +14,17 @@ the step rules run on classes: an ordered pair of distinct classes stands
 for the edges between them, with the least of their slacks, and a step's
 S is a circuit when it and its complement are connected among the
 classes.  The driver keeps one slack per edge and updates it at the edges
-a step's S moves; every step is recorded on the original graph as it is
-taken, with its length converted to :class:`~fractions.Fraction` once.
+a step's S moves, which :func:`dualflow.circuits.crossing_edges` splits
+into blocking and loosening ones; every step is recorded on the original
+graph as it is taken, with its length converted to
+:class:`~fractions.Fraction` once.
 No contracted instance is built: :func:`contract_edge`, :func:`lift_point`
 and :func:`project_point` serve callers that want the face polyhedron
 itself.
 
 :func:`walk_from_points` turns the oracles' witness points into walks by
-re-deriving each step.  :func:`validate_walk` is the independent check:
+re-deriving each step with :func:`dualflow.circuits.step_between`'s rule,
+on a grid.  :func:`validate_walk` is the independent check:
 it reads every verdict off one integer slack vector per point, on a scale
 of its own (the lcm of the denominators of the costs and of the walk's
 coordinates), and uses neither :class:`~dualflow.model.Grid` nor any of
@@ -40,6 +43,7 @@ from .circuits import (
     PartitionCircuit,
     SignedStep,
     _step_between,
+    crossing_edges,
     is_valid_circuit,
 )
 from .errors import (
@@ -144,17 +148,6 @@ def contract_edge(
     check_costs(graph, costs)
     if not (0 <= edge_index < graph.edge_count):
         raise EdgeMissing(f"edge index {edge_index} out of range")
-    contracted, contracted_costs, record = _contract(graph, costs, edge_index)
-    if not feasibility_status(contracted, contracted_costs).feasible:
-        raise FaceEmpty(f"no feasible point makes edge {edge_index} tight")
-    return contracted, contracted_costs, record
-
-
-def _contract(
-    graph: Digraph, costs: CostVector, edge_index: int
-) -> tuple[Digraph, CostVector, ContractionRecord]:
-    """:func:`contract_edge` without the emptiness test, for callers that
-    hold a feasible point at which the edge is tight."""
     kept, removed = graph.edges[edge_index]
     edge_cost = costs[edge_index]
     # one endpoint's index leaves the order and that endpoint takes its
@@ -197,6 +190,8 @@ def _contract(
             new_costs.append(adjusted)
     contracted = Digraph(graph.node_count - 1, tuple(new_edges))
     contracted_costs = tuple(new_costs)
+    if not feasibility_status(contracted, contracted_costs).feasible:
+        raise FaceEmpty(f"no feasible point makes edge {edge_index} tight")
     record = ContractionRecord(
         original_graph=graph,
         original_costs=costs,
@@ -372,10 +367,15 @@ def walk_from_points(
     graph: Digraph, costs: CostVector, points: Sequence[Point], mode: str
 ) -> Walk:
     """Assemble a walk by recovering the signed step of each move, on a grid
-    fine enough for the points as well as the costs."""
+    fine enough for the points as well as the costs.  The first point must be
+    feasible (else :class:`InfeasiblePoint`) and each move a maximal step
+    (else :class:`ValidationError`); edge mode checks neither vertices nor
+    adjacency, which :func:`validate_walk` does."""
     check_costs(graph, costs)
     grid = Grid(costs, points)
     states = [Point(grid.to_state(p)) for p in points]
+    if states and not is_feasible(graph, grid.costs, states[0]):
+        raise InfeasiblePoint("the walk's first point is infeasible")
     steps = []
     for before, after in zip(states, states[1:]):
         step = _step_between(graph, grid.costs, before, after, grid.scale)
@@ -436,22 +436,22 @@ def _insertion_walk(
             raise InternalInvariant("a target edge collapsed")
         # the edges between distinct classes, each with its class pair
         live = [
-            (i, tail, head, (label[tail], label[head]))
+            (i, (label[tail], label[head]))
             for i, (tail, head) in enumerate(edges)
             if label[tail] != label[head]
         ]
         classes = frozenset(label)
         adjacency: dict[int, set[int]] = {x: set() for x in classes}
-        for *_, (a, b) in live:
+        for _, (a, b) in live:
             adjacency[a].add(b)
             adjacency[b].add(a)
-        inserting = [i for i, *_, pair in live if pair == (start, goal)]
-        pairs = {pair for *_, pair in live}
+        inserting = [i for i, pair in live if pair == (start, goal)]
+        pairs = {pair for _, pair in live}
         c = len(classes)
         bound = min(len(pairs), c * (c - 1) // 2)
         phase: list = []  # pivoted-out pairs, or reach sets
         while all(slacks[i] for i in inserting):
-            tight = {pair for i, *_, pair in live if not slacks[i]}
+            tight = {pair for i, pair in live if not slacks[i]}
             if mode == "edge":
                 if len(tight) != c - 1:
                     raise DegenerateInstance(
@@ -476,11 +476,8 @@ def _insertion_walk(
             if ANCHOR in s_classes or component_count(n, inside) != n - c + 2:
                 raise InternalInvariant("a step's S is not a circuit of the graph")
             s_set = frozenset(v for v in range(n) if label[v] in s_classes)
-            # a rise is blocked by the edges into S, a fall by those out of it
-            blocking, loosening = [], []
-            for i, tail, head, _ in live:
-                if (tail in s_set) != (head in s_set):
-                    (blocking if (head in s_set) == (sign > 0) else loosening).append(i)
+            into, out = crossing_edges(graph, s_set)
+            blocking, loosening = (into, out) if sign > 0 else (out, into)
             epsilon = min((slacks[i] for i in blocking), default=0)
             if epsilon <= 0:
                 raise InternalInvariant("a step is blocked at once or not at all")
@@ -490,7 +487,7 @@ def _insertion_walk(
                 slacks[i] += epsilon
             entering = frozenset(i for i in blocking if not slacks[i])
             if mode == "edge":
-                entering_pairs = {pair for i, *_, pair in live if i in entering}
+                entering_pairs = {pair for i, pair in live if i in entering}
                 if len(entering_pairs) > 1:
                     raise DegenerateInstance(
                         "pivot tightened several inequalities at once; perturb the costs"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 import dualflow as df
@@ -63,6 +65,48 @@ def circuit_search(graph, costs, source, targets, depth_cap, state_cap):
         space, space.to_state(source), [space.to_state(t) for t in targets],
         depth_cap, state_cap,
     )
+
+
+def reference_neighbors(graph: df.Digraph, costs, point: df.Point) -> list[tuple]:
+    """The maximal circuit steps from a feasible point, from the definition,
+    as ``(destination, S, sign, length, entering edges)`` in circuit order.
+
+    S runs over the sets of non-anchor nodes in lexicographic order of their
+    sorted members, kept when networkx finds S and its complement connected,
+    and the sign over +1, then -1.  Along sign·χ(S) the slack of an edge
+    (t, h) changes at the rate -sign·(χ_S(h) - χ_S(t)); the step's length
+    is the least slack of the edges whose slack falls, and its entering
+    edges are those that reach 0.  A direction along which no slack falls
+    (a ray), or whose length is 0, has no step."""
+    underlying = nx.MultiGraph()
+    underlying.add_nodes_from(range(graph.node_count))
+    underlying.add_edges_from(graph.edges)
+    nodes = set(range(graph.node_count))
+    subsets = sorted(
+        combo
+        for size in range(1, graph.node_count)
+        for combo in itertools.combinations(range(1, graph.node_count), size)
+    )
+    steps = []
+    for members in subsets:
+        s_set = frozenset(members)
+        if not all(nx.is_connected(underlying.subgraph(side)) for side in (s_set, nodes - s_set)):
+            continue
+        for sign in (1, -1):
+            falling = {
+                i: costs[i] - point[head] + point[tail]
+                for i, (tail, head) in enumerate(graph.edges)
+                if sign * ((head in s_set) - (tail in s_set)) > 0
+            }
+            length = min(falling.values(), default=0)
+            if not length:
+                continue
+            destination = df.Point(tuple(
+                x + sign * length if v in s_set else x for v, x in enumerate(point.coords)
+            ))
+            entering = frozenset(i for i, s in falling.items() if s == length)
+            steps.append((destination, s_set, sign, length, entering))
+    return steps
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:

@@ -311,11 +311,22 @@ def test_edge_steps_are_circuit_steps():
 
 
 def test_step_between_rejects_non_steps(example, near_vertex):
+    """Every move that is not a maximal step raises ValidationError naming
+    why, in step_between and in walk_from_points alike: a move along a
+    direction blocked at the source, and one along a ray, included."""
     graph, costs = example
     with pytest.raises(df.ValidationError):
         df.step_between(graph, costs, near_vertex, df.Point.of(0, 1, "4/3", 1))
     with pytest.raises(df.ValidationError):
         df.step_between(graph, costs, near_vertex, near_vertex)
+    blocked = df.Point.of(0, 1, 1, 0)
+    with pytest.raises(df.ValidationError, match="a blocking edge is already tight$"):
+        df.step_between(graph, costs, near_vertex, blocked)
+    with pytest.raises(df.ValidationError, match="a blocking edge is already tight$"):
+        df.walk_from_points(graph, costs, [near_vertex, blocked], "circuit")
+    ray = df.Digraph(2, ((0, 1),))
+    with pytest.raises(df.ValidationError, match="no edge bounds this direction$"):
+        df.step_between(ray, df.cost_vector([1]), df.Point.of(0, 0), df.Point.of(0, -1))
 
 
 @pytest.mark.parametrize(

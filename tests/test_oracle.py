@@ -11,7 +11,12 @@ from functools import lru_cache
 import pytest
 
 import dualflow as df
-from conftest import circuit_search, geometric_adjacency, random_sub_tournament
+from conftest import (
+    circuit_search,
+    geometric_adjacency,
+    random_sub_tournament,
+    reference_neighbors,
+)
 from dualflow.model import blocks, component_count, join_points
 from dualflow.oracle import default_depth_cap
 
@@ -160,20 +165,29 @@ def test_first_circuit_neighbors_single_node():
     assert df.first_circuit_neighbors(graph, (), df.Point.of(0)) == ()
 
 
-def test_first_circuit_neighbors_match_max_step(example, near_vertex):
-    graph, costs = example
-    neighbors = df.first_circuit_neighbors(graph, costs, near_vertex)
-    for neighbor in neighbors:
-        assert len(neighbor.steps) == 1
-        for step in neighbor.steps:
-            rebuilt = df.max_step(
-                graph, costs, near_vertex, step.circuit, step.sign
-            )
-            assert rebuilt == step
-            assert (
-                df.apply_circuit_step(graph, costs, near_vertex, step)
-                == neighbor.point
-            )
+def test_first_circuit_neighbors_match_max_step(example):
+    """At every vertex of the example and of random instances, the
+    neighbours, read off the graph's direction table, are the steps the
+    definition gives (``reference_neighbors``), in order; and each is the
+    step that ``max_step``, which splits its own S, rebuilds and
+    ``apply_circuit_step`` lands."""
+    rng = random.Random(89)
+    instances = [example] + [
+        random_sub_tournament(rng, 3 + k % 3, integer_costs=k % 2 == 1) for k in range(8)
+    ]
+    for graph, costs in instances:
+        for vertex in df.enumerate_vertices(graph, costs).vertices:
+            neighbors = df.first_circuit_neighbors(graph, costs, vertex)
+            assert [
+                (n.point, s.circuit.s_set, s.sign, s.epsilon, s.entering_edges)
+                for n in neighbors
+                for s in n.steps
+            ] == reference_neighbors(graph, costs, vertex)
+            for neighbor in neighbors:
+                assert len(neighbor.steps) == 1
+                (step,) = neighbor.steps
+                assert df.max_step(graph, costs, vertex, step.circuit, step.sign) == step
+                assert df.apply_circuit_step(graph, costs, vertex, step) == neighbor.point
 
 
 def test_first_circuit_neighbors_off_grid_point(example):
@@ -189,7 +203,8 @@ def test_first_circuit_neighbors_off_grid_point(example):
 
 def test_scaled_search_matches_public_neighbors():
     """The integer-scaled frontier expansion used by the distance search
-    agrees with the public neighbor construction, state by state."""
+    gives the steps of the definition (``reference_neighbors``), in order,
+    state by state."""
     from dualflow.oracle import _scaled_instance
 
     rng = random.Random(97)
@@ -198,8 +213,8 @@ def test_scaled_search_matches_public_neighbors():
         scaled = _scaled_instance(graph, costs)
         for vertex in df.enumerate_vertices(graph, costs).vertices:
             public = [
-                (n.point, [(s.circuit.s_set, s.sign, s.epsilon) for s in n.steps])
-                for n in df.first_circuit_neighbors(graph, costs, vertex)
+                (point, [(s_set, sign, length)])
+                for point, s_set, sign, length, _ in reference_neighbors(graph, costs, vertex)
             ]
             state = scaled.to_state(vertex)
             fast = []

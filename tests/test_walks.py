@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import dualflow as df
 from conftest import random_sub_tournament
 from dualflow.model import Grid
-from dualflow.walks import _contract
 
 WALK_POINTS = [
     (0, 0, 0, 0),
@@ -168,7 +167,7 @@ def test_lift_project_property(seed, size, integer_costs):
     else:
         raise AssertionError("no edge of a nonempty polyhedron is contractible")
     grid = Grid(costs)
-    _, grid_costs, grid_record = _contract(graph, grid.costs, edge)
+    _, grid_costs, grid_record = df.contract_edge(graph, grid.costs, edge)
     assert tuple(grid.to_rational(c) for c in grid_costs) == new_costs
     for vertex in df.enumerate_vertices(contracted, new_costs).vertices:
         lifted = df.lift_point(record, vertex)
@@ -636,6 +635,18 @@ def test_walk_from_points_reports_rationals(example, near_vertex):
         df.walk_from_points(graph, costs, points, "circuit")
 
 
+def test_walk_from_points_checks_the_first_point(example, near_vertex):
+    """An infeasible first point is refused at any walk length, the
+    one-point walk included."""
+    graph, costs = example
+    infeasible = df.Point.of(0, 0, 0, 3)
+    for points in ([infeasible], [infeasible, near_vertex]):
+        with pytest.raises(df.InfeasiblePoint):
+            df.walk_from_points(graph, costs, points, "circuit")
+    walk = df.walk_from_points(graph, costs, [near_vertex], "edge")
+    assert walk.points == (near_vertex,) and walk.steps == ()
+
+
 def test_walk_from_points_off_the_cost_grid(example):
     """Points need not lie on the costs' grid: the grid widens to hold them."""
     graph, costs = example
@@ -875,7 +886,10 @@ def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
     ]
     for name in (
         "dualflow.circuits._max_step",
-        "dualflow.circuits._blocking_edges",
+        "dualflow.circuits.crossing_edges",
+        "dualflow.circuits.direction_table",
+        "dualflow.circuits.uniform_shift",
+        "dualflow.walks.crossing_edges",
         "dualflow.circuits.is_feasible",
         "dualflow.walks.tight_graph",
         "dualflow.walks.is_feasible",
@@ -894,7 +908,7 @@ def test_builders_build_no_contracted_instance(monkeypatch, near_vertex, far_ver
     """The builders walk the original graph and record each step as they
     take it: with contraction and step recovery broken, gk(2) and gk(3)
     walks still build and validate in both modes and both directions."""
-    monkeypatch.setattr("dualflow.walks._contract", _step_code_called)
+    monkeypatch.setattr("dualflow.walks.contract_edge", _step_code_called)
     monkeypatch.setattr("dualflow.walks._step_between", _step_code_called)
     for graph, costs, a, b in _gk_ends((2, 3), near_vertex, far_vertex):
         for builder in (df.edge_walk, df.circuit_walk):
