@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import IO, Sequence
@@ -39,6 +40,7 @@ from .model import (
     load_graph,
     rational,
     rational_str,
+    save_graph,
     serialize_graph,
     vertex_from_tree,
 )
@@ -96,11 +98,11 @@ def _resolve_point(
     return Point(tuple(rational(tok) for tok in point_arg.split(",")))
 
 
-def _emit(report: dict, args, out: IO[str]) -> None:
-    """Write the report to ``-o FILE`` when given, else to ``out``; opening
-    the file may raise :class:`OSError`."""
-    if getattr(args, "output", None) and args.command not in ("gen", "glue"):
-        with open(args.output, "w", encoding="utf-8") as handle:
+def _emit(report: dict, args, out: IO[str], path: str | None) -> None:
+    """Write the report to the file ``path`` when given, else to ``out``;
+    opening the file may raise :class:`OSError`."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             _write_report(report, args, handle)
     else:
         _write_report(report, args, out)
@@ -145,17 +147,14 @@ def _instance_summary(graph: Digraph) -> dict:
 
 
 def _write_graph(args, graph: Digraph, costs: CostVector, out: IO[str]) -> dict:
-    text = serialize_graph(graph, costs)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        result = {"written": args.output}
-    elif args.json:
-        result = {"graph": text}
-    else:
-        out.write(text)
-        result = {}
-    return result
+        save_graph(args.output, graph, costs)
+        return {"written": args.output}
+    text = serialize_graph(graph, costs)
+    if args.json:
+        return {"graph": text}
+    out.write(text)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,7 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
     try:
         payload = _HANDLERS[command](args, out)
     except OSError as exc:
-        return _file_error(exc, report, args, out)
+        return _file_error(exc, report, args, out, args.output)
     except DualflowError as exc:
         report["status"] = "error"
         report["error"] = {"code": exc.code, "message": str(exc)}
@@ -489,32 +488,47 @@ def run(argv: Sequence[str], out: IO[str] | None = None) -> int:
         if exit_code:
             report["status"] = "error"
             report["error"] = {"code": "verification-failed", "message": "checks failed"}
-    if exit_code or args.json or command not in ("gen", "glue") or args.output:
-        try:
-            _emit(report, args, out)
-        except OSError as exc:
-            return _file_error(exc, report, args, out)
+    path = None if command in ("gen", "glue") else args.output  # their -o holds the graph
+    try:
+        if exit_code or args.json or command not in ("gen", "glue") or args.output:
+            _emit(report, args, out, path)
+        out.flush()
+    except OSError as exc:
+        return _file_error(exc, report, args, out, path)
     return exit_code
 
 
-def _file_error(exc: OSError, report: dict, args, out: IO[str]) -> int:
+def _file_error(exc: OSError, report: dict, args, out: IO[str], path: str | None) -> int:
     """Report a file that cannot be read or written: one line on stderr and,
     with ``--json``, an error report on ``out`` (never on ``-o FILE``, which
-    may be the file at fault); exit code 2."""
-    if isinstance(exc, FileNotFoundError):
+    may be the file at fault); exit code 2.  An error that names no file is
+    a failed write to the file ``path`` or else to ``out``, such as a closed
+    pipe: nothing more is written to it."""
+    if exc.filename is None:
+        target = path or getattr(out, "name", "the output")
+        code, message = None, f"cannot write {target} ({exc.strerror})"
+    elif isinstance(exc, FileNotFoundError):
         code, message = "missing-file", f"missing file: {exc.filename}"
     else:
         code = "unreadable-file"
         message = f"cannot open file: {exc.filename} ({exc.strerror})"
     sys.stderr.write(f"dualflow: {message}\n")
-    if args.json:
+    if args.json and code:
         report.update(status="error", result=None, error={"code": code, "message": message})
-        _write_report(report, args, out)
+        try:
+            _write_report(report, args, out)
+        except OSError as closed:
+            return _file_error(closed, report, args, out, None)
     return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:  # closed early, as run reported: exit's flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -624,8 +624,6 @@ def _check_vertices(
 def count_spanning_trees(graph: Digraph) -> int:
     """Number of spanning trees of the underlying multigraph (matrix-tree)."""
     n = graph.node_count
-    if n == 1:
-        return 1
     # integer Laplacian with multiplicities; drop the anchor row/column
     lap = [[0] * n for _ in range(n)]
     for tail, head in graph.edges:
@@ -638,12 +636,12 @@ def count_spanning_trees(graph: Digraph) -> int:
 
 
 def _int_determinant(matrix: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; exact for integer matrices."""
+    """Bareiss fraction-free elimination; exact for integer matrices (1 if empty)."""
     m = [row[:] for row in matrix]
     n = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
@@ -656,48 +654,20 @@ def _int_determinant(matrix: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def enumerate_spanning_trees(
     graph: Digraph, cap: int = DEFAULT_TREE_CAP
 ) -> Iterator[SpanningTree]:
-    """Yield every spanning tree (as a frozenset of edge indices).
+    """Yield every spanning tree (as a frozenset of edge indices), in
+    lexicographic order of their sorted edge indices.
 
     Counts first via the matrix-tree theorem and raises
     :class:`InstanceTooLarge` when the count exceeds ``cap``.
     """
     _check_tree_cap(count_spanning_trees(graph), cap)
-    n = graph.node_count
-    if n == 1:
-        yield frozenset()
-        return
-    m = graph.edge_count
-
-    def rec(index: int, chosen: list[int], parent: list[int]) -> Iterator[SpanningTree]:
-        if len(chosen) == n - 1:
-            yield frozenset(chosen)
-            return
-        if index == m:
-            return
-        tail, head = graph.edges[index]
-        root_t = _find(parent, tail)
-        root_h = _find(parent, head)
-        if root_t == root_h:
-            # cycle edge: skipping it cannot disconnect anything
-            yield from rec(index + 1, chosen, parent)
-            return
-        # include the edge
-        merged = parent[:]
-        merged[root_t] = root_h
-        chosen.append(index)
-        yield from rec(index + 1, chosen, merged)
-        chosen.pop()
-        # exclude it, but only if the rest can still span
-        if _spannable(graph, parent, index + 1):
-            yield from rec(index + 1, chosen, parent)
-
-    yield from rec(0, [], list(range(n)))
+    yield from (tree for tree, _ in _tree_search(graph, lambda kept, *_: kept, True))
 
 
 def _check_tree_cap(total: int, cap: int) -> None:
@@ -705,19 +675,56 @@ def _check_tree_cap(total: int, cap: int) -> None:
         raise InstanceTooLarge(f"{total} spanning trees exceed cap {cap}")
 
 
-def _spannable(graph: Digraph, parent: list[int], start: int) -> bool:
-    """Can the components in ``parent`` still be joined by edges >= start?"""
-    probe = parent[:]
-    components = len({_find(probe, v) for v in range(graph.node_count)})
-    for i in range(start, graph.edge_count):
-        tail, head = graph.edges[i]
+def _tree_search(
+    graph: Digraph, include: Callable[..., object], start: object
+) -> Iterator[tuple[SpanningTree, object]]:
+    """The one spanning-tree search: include/exclude backtracking (Read and
+    Tarjan, 1975) over the edges in index order, include first, so trees
+    come in lexicographic order of their sorted edge indices.
+
+    ``label`` maps each node to its component's root, whose own label is
+    itself: a flat union-find parent list.  Each edge that joins two
+    components calls ``include(value, index, moved, label)``, ``moved``
+    being the head's component, for the value the include branch carries,
+    or ``None`` to cut that branch.  An edge is excluded only while the later
+    edges can still span, so every branch yields a tree and its value.
+    """
+    n, edges = graph.node_count, graph.edges
+
+    def rec(index: int, chosen: list[int], label: list[int], value) -> Iterator:
+        if len(chosen) == n - 1:
+            yield frozenset(chosen), value
+            return
+        tail, head = edges[index]
+        root_t, root_h = label[tail], label[head]
+        cycle = root_t == root_h
+        if not cycle:
+            moved = [v for v in range(n) if label[v] == root_h]
+            included = include(value, index, moved, label)
+            if included is not None:
+                chosen.append(index)
+                joined = [root_t if root == root_h else root for root in label]
+                yield from rec(index + 1, chosen, joined, included)
+                chosen.pop()
+        # skipping a cycle edge cannot disconnect anything
+        if cycle or _spannable(graph, label, index + 1, n - len(chosen)):
+            yield from rec(index + 1, chosen, label, value)
+
+    yield from rec(0, [], list(range(n)), start)
+
+
+def _spannable(graph: Digraph, label: list[int], start: int, components: int) -> bool:
+    """Can the forest's ``components`` components, flat in ``label``, still
+    be joined into one by edges >= start?"""
+    probe = label[:]
+    for tail, head in graph.edges[start:]:
         rt, rh = _find(probe, tail), _find(probe, head)
         if rt != rh:
             probe[rt] = rh
             components -= 1
             if components == 1:
                 return True
-    return components == 1
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -793,63 +800,41 @@ def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
 
 
 def _tree_vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
-    """The spanning-tree search of :func:`enumerate_spanning_trees`, in its
-    edge and include-before-exclude order, run on the integer grid.
+    """The spanning-tree search (:func:`_tree_search`) on the integer grid.
 
     Each forest carries integer potentials that make its edges tight.
-    Including an edge shifts one of the two components it joins so that the
-    edge is tight, then checks every edge between them: their slacks never
-    change again, so a negative one cuts the branch.  A leaf's potentials,
-    re-based at the anchor, are then its vertex's grid state.
+    Including an edge shifts the head's component so that the edge is
+    tight, then checks every edge between the two components: their slacks
+    never change again, so a negative one cuts the branch.  A leaf's
+    potentials, re-based at the anchor, are then its vertex's grid state.
     """
     _check_tree_cap(count_spanning_trees(graph), tree_cap)
     grid = Grid(costs)
-    n, m = graph.node_count, graph.edge_count
     edges = [(cost, tail, head) for cost, (tail, head) in zip(grid.costs, graph.edges)]
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.node_count)]
     for edge in edges:
         incident[edge[1]].append(edge)
         incident[edge[2]].append(edge)
-    buckets: dict[tuple[int, ...], list[frozenset[int]]] = {}
-    chosen: list[int] = []
 
-    # ``label`` maps each node to its component's root, a member whose own
-    # label is itself, so it is also a flat union-find parent list
-    def rec(index: int, label: list[int], potential: list[int]) -> None:
-        if len(chosen) == n - 1:
-            base = potential[ANCHOR]
-            state = tuple(p - base for p in potential)
-            buckets.setdefault(state, []).append(frozenset(chosen))
-            return
-        if index == m:
-            return
+    def include(potential: list[int], index: int, moved: list[int], label: list[int]):
         cost, tail, head = edges[index]
-        root_t, root_h = label[tail], label[head]
-        if root_t == root_h:
-            # cycle edge: skipping it cannot disconnect anything
-            rec(index + 1, label, potential)
-            return
-        # include the edge: move the head's component so that it is tight
         delta = cost - potential[head] + potential[tail]
-        moved = [v for v in range(n) if label[v] == root_h]
-        joined, shifted = label[:], potential[:]
+        shifted = potential[:]
         for v in moved:
-            joined[v] = root_t
             shifted[v] += delta
-        if all(
+        root_t = label[tail]
+        feasible = all(
             c - shifted[h] + shifted[t] >= 0
             for v in moved
             for c, t, h in incident[v]
             if root_t in (label[t], label[h])
-        ):
-            chosen.append(index)
-            rec(index + 1, joined, shifted)
-            chosen.pop()
-        # exclude it, but only if the rest can still span
-        if _spannable(graph, label, index + 1):
-            rec(index + 1, label, potential)
+        )
+        return shifted if feasible else None
 
-    rec(0, list(range(n)), [0] * n)
+    buckets: dict[tuple[int, ...], list[frozenset[int]]] = {}
+    for tree, potential in _tree_search(graph, include, [0] * graph.node_count):
+        base = potential[ANCHOR]
+        buckets.setdefault(tuple(p - base for p in potential), []).append(tree)
     ordered = sorted(buckets)
     return VertexSet(
         tuple(map(grid.to_point, ordered)),

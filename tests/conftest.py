@@ -55,6 +55,21 @@ def random_sub_tournament(
         return graph, tuple(costs)
 
 
+def reference_spanning_trees(graph: df.Digraph) -> list[frozenset[int]]:
+    """Every spanning tree, from the definition and sharing no code with the
+    package's search: each set of ``node_count - 1`` edges, in
+    ``itertools.combinations`` order, kept when networkx finds that its
+    edges connect all nodes."""
+    trees = []
+    for subset in itertools.combinations(range(graph.edge_count), graph.node_count - 1):
+        underlying = nx.MultiGraph()
+        underlying.add_nodes_from(range(graph.node_count))
+        underlying.add_edges_from(graph.edges[i] for i in subset)
+        if nx.is_connected(underlying):
+            trees.append(frozenset(subset))
+    return trees
+
+
 def circuit_search(graph, costs, source, targets, depth_cap, state_cap):
     """The circuit oracle's breadth-first search over one instance's grid
     points, not split into blocks, from a point to points."""

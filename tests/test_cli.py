@@ -270,6 +270,22 @@ def test_verify_example_detects_perturbed_costs():
     assert not by_name["first-steps"]
 
 
+def test_failing_verify_example_exits_1(monkeypatch):
+    """A wrong fact about the example fails ``verify-example`` through
+    ``run``: exit code 1, and the report names the checks that failed."""
+    graph, costs = df.example_graph()
+    tampered = list(costs)
+    tampered[8] = df.rational(2)  # edge 8 is (2, 3), cost 10/9
+    monkeypatch.setattr(cli, "example_graph", lambda: (graph, tuple(tampered)))
+    code, text = invoke(["verify-example", "--json"])
+    assert code == 1
+    report = json.loads(text)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "verification-failed"
+    failed = {item["name"] for item in report["result"]["checks"] if not item["passed"]}
+    assert {"first-steps", "circuit-distance"} <= failed
+
+
 def test_domain_error_exit_code(tmp_path):
     # an infeasible instance: negative cycle
     path = tmp_path / "bad.graph"
@@ -467,6 +483,47 @@ def test_output_directory_json_report(tmp_path, example_file, capsys):
     assert report["error"]["code"] == "unreadable-file"
     assert report["result"] is None
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_report_goes_to_output_file(tmp_path, example_file):
+    target = tmp_path / "vertices.json"
+    code, text = invoke(["vertices", example_file, "--json", "-o", str(target)])
+    assert code == 0
+    assert text == ""
+    assert json.loads(target.read_text())["result"]["count"] == 14
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-example", "--json"], ["verify-example"], ["gen", "example"]],
+    ids=["verify-example-json", "verify-example", "gen-example"],
+)
+def test_closed_stdout_is_one_error_line(argv, buffered):
+    """A report whose stdout is a pipe closed before the run starts: exit
+    code 2 and one stderr line naming stdout, with no traceback, also from
+    the interpreter's final flush."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dualflow.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("dualflow: cannot write <stdout>")
+    assert "None" not in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_malformed_tree_token_is_a_format_error(example_file):

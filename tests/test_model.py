@@ -11,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualflow as df
-from conftest import definitional_is_vertex, random_sub_tournament
+from conftest import (
+    definitional_is_vertex,
+    random_sub_tournament,
+    reference_spanning_trees,
+)
 
 EXAMPLE_TEXT = """\
 # canonical 4-node instance
@@ -393,6 +397,17 @@ def test_tree_count_matches_enumeration_random(n, seed):
     graph, _ = random_sub_tournament(random.Random(seed), n)
     trees = set(df.enumerate_spanning_trees(graph))
     assert len(trees) == df.count_spanning_trees(graph)
+
+
+def test_tree_enumeration_matches_reference():
+    """The search yields the definition's spanning trees in its order,
+    lexicographic in sorted edge indices, on the example, gk(2), the
+    one-node graph and 60 random sub-tournaments of 1-6 nodes."""
+    graphs = [df.example_graph()[0], df.family_gk(2)[0], df.Digraph(1, ())]
+    rng = random.Random(18)
+    graphs += [random_sub_tournament(rng, 1 + i % 6)[0] for i in range(60)]
+    for graph in graphs:
+        assert list(df.enumerate_spanning_trees(graph)) == reference_spanning_trees(graph)
 
 
 def test_tree_enumeration_cap():
