@@ -24,11 +24,11 @@ itself.
 
 :func:`walk_from_points` turns the oracles' witness points into walks by
 re-deriving each step with :func:`dualflow.circuits.step_between`'s rule,
-on a grid.  :func:`validate_walk` is the independent check:
-it reads every verdict off one integer slack vector per point, on a scale
+on a grid.  :func:`validate_walk` is the independent check: it reads every
+verdict off each point's integer slacks, computed from the costs on a scale
 of its own (the lcm of the denominators of the costs and of the walk's
-coordinates), and uses neither :class:`~dualflow.model.Grid` nor any of
-the step code.
+coordinates), decides each step's circuit itself, and uses neither
+:class:`~dualflow.model.Grid` nor any of the step or circuit code.
 """
 
 from __future__ import annotations
@@ -560,60 +560,51 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
     Every check reads one integer slack vector per point, on the walk's own
     scale ``L``: the lcm of the denominators of the costs and of every
     coordinate of every point, so that each point converts to integers
-    exactly, once.  The first point's slacks come from the costs, and each
-    later point's are the ones before with the edges at moved nodes
-    recomputed, ``s_i -= d_head - d_tail`` for the coordinate differences
-    ``d``.  The scale is computed here, not taken from
-    :class:`~dualflow.model.Grid`, and no step code of the builders runs
-    here, so the check shares no arithmetic with what it checks.
+    exactly, once.  Each point's slacks come from the scaled costs,
+    ``c - u_head + u_tail``, and each step's move is the difference of two
+    consecutive points.  A step's S is a circuit when S and its complement
+    are each connected by the edges among them, decided here by a search
+    over neighbour bitmasks; the edge-mode vertex and adjacency tests count
+    components with :func:`~dualflow.model.component_count`.  The scale is
+    computed here, not taken from :class:`~dualflow.model.Grid`, and no
+    step or circuit code of :mod:`dualflow.circuits` runs here, so the
+    check shares no arithmetic with what it checks.
     """
-    edges = graph.edges
-    into: list[list[int]] = [[] for _ in range(graph.node_count)]
-    out: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for i, (tail, head) in enumerate(edges):
-        out[tail].append(i)
-        into[head].append(i)
+    n, edges = graph.node_count, graph.edges
+    states: list[list[int]] = []
     slacks: list[list[int]] = []
-    shifts: list[dict[int, int]] = []  # per move: node -> difference
     for k, point in enumerate(walk.points):
-        if len(point) != graph.node_count:
+        if len(point) != n:
             return WalkValidation(False, f"point {k} has the wrong dimension")
-        if not slacks:
+        if not states:
             check_costs(graph, costs)
             denominators = {c.denominator for c in costs}
             denominators.update(x.denominator for p in walk.points for x in p.coords)
             scale = math.lcm(1, *denominators)
-            state = [x.numerator * (scale // x.denominator) for x in point]
-            s = [
-                c.numerator * (scale // c.denominator) - state[head] + state[tail]
-                for c, (tail, head) in zip(costs, edges)
-            ]
-            recomputed: Sequence[int] = range(len(s))
-        else:
-            previous, state = state, [x.numerator * (scale // x.denominator) for x in point]
-            shift = {v: x - y for v, (x, y) in enumerate(zip(state, previous)) if x != y}
-            shifts.append(shift)
-            s, recomputed = slacks[-1].copy(), []
-            for v, d in shift.items():
-                # an edge with both ends moved is updated here, at its head
-                for i in into[v]:
-                    d_tail = shift.get(edges[i][0])
-                    if d_tail is None:
-                        s[i] -= d
-                    elif d_tail != d:
-                        s[i] -= d - d_tail
-                    else:
-                        continue
-                    recomputed.append(i)
-                for i in out[v]:
-                    if edges[i][1] not in shift:
-                        s[i] += d
-                        recomputed.append(i)
-        if any(s[i] < 0 for i in recomputed):
+            scaled = [c.numerator * (scale // c.denominator) for c in costs]
+        state = [x.numerator * (scale // x.denominator) for x in point]
+        s = [c - state[head] + state[tail] for c, (tail, head) in zip(scaled, edges)]
+        if any(x < 0 for x in s):
             return WalkValidation(False, f"point {k} is infeasible")
+        states.append(state)
         slacks.append(s)
+    neighbours = [0] * n
+    for tail, head in edges:
+        neighbours[tail] |= 1 << head
+        neighbours[head] |= 1 << tail
+
+    def connected(mask: int) -> bool:
+        """Whether the edges among the nodes of ``mask`` join them all."""
+        reach = todo = mask & -mask
+        while todo:
+            node = todo & -todo
+            grown = neighbours[node.bit_length() - 1] & mask & ~reach
+            reach |= grown
+            todo = (todo ^ node) | grown
+        return reach == mask
+
     for k, step in enumerate(walk.steps):
-        shift = shifts[k]
+        shift = {v: x - y for v, (x, y) in enumerate(zip(states[k + 1], states[k])) if x != y}
         if not shift:
             return WalkValidation(False, f"step {k} does not move")
         deltas = set(shift.values())
@@ -625,7 +616,9 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
         s_set = step.circuit.s_set
         if frozenset(shift) != s_set:
             return WalkValidation(False, f"step {k} moves the wrong node set")
-        if not is_valid_circuit(graph, s_set):
+        # the anchor never moves, so the complement is never empty
+        mask = sum(1 << v for v in s_set)
+        if not (connected(mask) and connected(((1 << n) - 1) ^ mask)):
             return WalkValidation(False, f"step {k} uses an invalid circuit")
         sign = 1 if delta > 0 else -1
         if sign != step.sign or Fraction(abs(delta), scale) != step.epsilon:
@@ -634,8 +627,7 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
         # the step's length of slack: the step is maximal when one ends
         # tight, and those are its entering edges.  One tight before the
         # step would be negative after it, which the point checks report.
-        ends, outer = (into, 0) if sign > 0 else (out, 1)
-        blocking = [i for v in s_set for i in ends[v] if edges[i][outer] not in s_set]
+        blocking = [i for i, (t, h) in enumerate(edges) if (h in s_set) - (t in s_set) == sign]
         if not blocking:
             return WalkValidation(
                 False, f"step {k} is impossible: no edge bounds this direction"

@@ -8,8 +8,16 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 import dualflow as df
+
+# Tier-1 draws the same examples on every run, so that a failure reproduces;
+# ``--hypothesis-profile=campaign`` draws fresh ones.  Each test keeps its
+# own ``max_examples``.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("campaign", derandomize=False, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -167,15 +175,93 @@ def constraint_rows(
     return rows
 
 
+def reference_slacks(graph: df.Digraph, costs, point: df.Point) -> list[Fraction]:
+    """Each edge's slack ``c - u_head + u_tail`` at the point, in rationals."""
+    return [c - point[head] + point[tail] for c, (tail, head) in zip(costs, graph.edges)]
+
+
+def reference_tight(graph: df.Digraph, costs, point: df.Point) -> frozenset[int]:
+    """The edges whose slack at the point is zero."""
+    slacks = reference_slacks(graph, costs, point)
+    return frozenset(i for i, s in enumerate(slacks) if s == 0)
+
+
 def definitional_is_vertex(graph: df.Digraph, costs, point: df.Point) -> bool:
     """A feasible point is a vertex iff its tight constraints pin it down:
     the tight normals plus the anchor row must have full rank."""
-    tight = df.tight_graph(graph, costs, point)
+    tight = reference_tight(graph, costs, point)
     return rational_rank(constraint_rows(graph, tight)) == graph.node_count
 
 
 def geometric_adjacency(graph: df.Digraph, costs, u: df.Point, v: df.Point) -> bool:
     """Vertices span an edge iff their common tight constraints cut the space
     down to one dimension (rank node_count - 1 including the anchor row)."""
-    common = df.tight_graph(graph, costs, u) & df.tight_graph(graph, costs, v)
+    common = reference_tight(graph, costs, u) & reference_tight(graph, costs, v)
     return rational_rank(constraint_rows(graph, common)) == graph.node_count - 1
+
+
+def reference_validation(graph: df.Digraph, costs, walk) -> df.WalkValidation:
+    """``validate_walk``'s verdict, from the definitions and sharing no code
+    with the package but its data types; the costs must be one per edge.
+
+    It checks in ``validate_walk``'s order and reports in its words: every
+    point's dimension and feasibility (``Fraction`` slacks); then every
+    step: its move ``q - p`` must be ``δ ≠ 0`` on the recorded S and 0
+    elsewhere, S and its complement connected (networkx), and the record's
+    sign and length those of ``δ``.  Along ``sign·χ(S)`` the slack of an
+    edge (t, h) falls when ``sign·(χ_S(h) - χ_S(t)) > 0``: those edges block
+    the step, it is maximal when one of them is tight after it, and those
+    are its entering edges.  In edge mode every point must then be a vertex
+    and each consecutive pair adjacent, by the rank-based definitions."""
+    n = graph.node_count
+    point_slacks = []
+    for k, point in enumerate(walk.points):
+        if len(point) != n:
+            return df.WalkValidation(False, f"point {k} has the wrong dimension")
+        point_slacks.append(reference_slacks(graph, costs, point))
+        if min(point_slacks[-1], default=0) < 0:
+            return df.WalkValidation(False, f"point {k} is infeasible")
+    underlying = nx.MultiGraph()
+    underlying.add_nodes_from(range(n))
+    underlying.add_edges_from(graph.edges)
+    for k, step in enumerate(walk.steps):
+        before, after = walk.points[k], walk.points[k + 1]
+        moves = {v: after[v] - before[v] for v in range(n) if after[v] != before[v]}
+        if not moves:
+            return df.WalkValidation(False, f"step {k} does not move")
+        if len(set(moves.values())) != 1:
+            return df.WalkValidation(
+                False, f"step {k} is not a multiple of a 0/1 direction"
+            )
+        s_set = step.circuit.s_set
+        if set(moves) != s_set:
+            return df.WalkValidation(False, f"step {k} moves the wrong node set")
+        sides = (s_set, set(range(n)) - s_set)
+        if not all(nx.is_connected(underlying.subgraph(side)) for side in sides):
+            return df.WalkValidation(False, f"step {k} uses an invalid circuit")
+        delta = next(iter(moves.values()))
+        if step.sign * delta < 0 or abs(delta) != step.epsilon:
+            return df.WalkValidation(False, f"step {k} disagrees with its record")
+        blocking = [
+            i for i, (tail, head) in enumerate(graph.edges)
+            if step.sign * ((head in s_set) - (tail in s_set)) > 0
+        ]
+        if not blocking:
+            return df.WalkValidation(
+                False, f"step {k} is impossible: no edge bounds this direction"
+            )
+        entering = frozenset(i for i in blocking if point_slacks[k + 1][i] == 0)
+        if not entering:
+            return df.WalkValidation(False, f"step {k} is not maximal")
+        if entering != step.entering_edges:
+            return df.WalkValidation(False, f"step {k} records wrong entering edges")
+    if walk.mode == "edge":
+        for k, point in enumerate(walk.points):
+            if not definitional_is_vertex(graph, costs, point):
+                return df.WalkValidation(False, f"point {k} is not a vertex")
+        for k, (u, v) in enumerate(zip(walk.points, walk.points[1:])):
+            if not geometric_adjacency(graph, costs, u, v):
+                return df.WalkValidation(
+                    False, f"points {k} and {k + 1} are not adjacent vertices"
+                )
+    return df.WalkValidation(True, None)

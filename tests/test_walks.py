@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualflow as df
-from conftest import random_sub_tournament
+from conftest import random_sub_tournament, reference_validation
 from dualflow.model import Grid
 
 WALK_POINTS = [
@@ -876,9 +878,9 @@ def _gk_ends(ks, near_vertex, far_vertex):
 
 
 def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
-    """Built walks validate with the builders' step code and the model's
-    feasibility and tightness helpers all broken: the validator derives its
-    verdict from the points and records alone."""
+    """Built walks validate with the builders' step code, the circuit test
+    and the model's feasibility and tightness helpers all broken: the
+    validator derives its verdict from the points and records alone."""
     built = [
         (graph, costs, builder(graph, costs, a, b))
         for graph, costs, a, b in _gk_ends((1, 3), near_vertex, far_vertex)
@@ -889,7 +891,9 @@ def test_validate_walk_runs_no_step_code(monkeypatch, near_vertex, far_vertex):
         "dualflow.circuits.crossing_edges",
         "dualflow.circuits.direction_table",
         "dualflow.circuits.uniform_shift",
+        "dualflow.circuits.is_valid_circuit",
         "dualflow.walks.crossing_edges",
+        "dualflow.walks.is_valid_circuit",
         "dualflow.circuits.is_feasible",
         "dualflow.walks.tight_graph",
         "dualflow.walks.is_feasible",
@@ -990,6 +994,94 @@ def test_validate_rejects_every_corrupted_record():
                     assert report == df.WalkValidation(False, f"step {k} {violation}"), kind
                     seen[kind] = seen.get(kind, 0) + 1
     assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+def _validation_corpus(rng, trials):
+    """Seeded built walks and their corruptions, as ``(graph, costs, walk)``:
+    the example and random sub-tournaments of 2-6 nodes (every third with
+    integer costs); one circuit walk each, and an edge walk on
+    nondegenerate instances; those walks with the mode flipped, with one
+    step's record edited and with one point moved, repeated, cut short,
+    swapped with the next or dropped; moves from a vertex along a random
+    node set, recorded with no entering edge; and each first circuit step
+    from each vertex as a two-point edge walk."""
+    instances = [df.example_graph()] + [
+        random_sub_tournament(rng, rng.randint(2, 6), integer_costs=trial % 3 == 0)
+        for trial in range(trials)
+    ]
+    for graph, costs in instances:
+        n = graph.node_count
+        unit = Fraction(1, math.lcm(*(c.denominator for c in costs)))
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        source, target = rng.choice(vertices), rng.choice(vertices)
+        walks = [df.circuit_walk(graph, costs, source, target)]
+        if df.degeneracy_report(graph, costs).nondegenerate:
+            walks.append(df.edge_walk(graph, costs, source, target))
+        for walk in walks:
+            yield graph, costs, walk
+            flipped = "edge" if walk.mode == "circuit" else "circuit"
+            yield graph, costs, replace(walk, mode=flipped)
+            for k, step in enumerate(walk.steps):
+                v, i = rng.randrange(1, n), rng.randrange(graph.edge_count)
+                for bad in (
+                    replace(step, sign=-step.sign),
+                    replace(step, epsilon=2 * step.epsilon),
+                    replace(step, entering_edges=step.entering_edges ^ {i}),
+                    replace(step, circuit=df.PartitionCircuit(step.circuit.s_set | {v})),
+                ):
+                    steps = walk.steps[:k] + (bad,) + walk.steps[k + 1:]
+                    yield graph, costs, replace(walk, steps=steps)
+            points = walk.points
+            for k, point in enumerate(points):
+                v = rng.randrange(1, n)
+                nudged = list(point.coords)
+                nudged[v] += rng.choice((unit, -unit, unit / 2))
+                for edit in (nudged, points[k - 1].coords if k else point.coords[:-1]):
+                    edited = points[:k] + (df.Point(tuple(edit)),) + points[k + 1:]
+                    yield graph, costs, replace(walk, points=edited)
+                if 0 < k < len(points) - 1:
+                    swapped = points[:k] + (points[k + 1], point) + points[k + 2:]
+                    yield graph, costs, replace(walk, points=swapped)
+                    dropped = points[:k] + points[k + 1:]
+                    steps = walk.steps[:k] + walk.steps[k + 1:]
+                    yield graph, costs, replace(walk, points=dropped, steps=steps)
+        s_set = frozenset(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        for sign in (1, -1):
+            moved = df.Point(tuple(
+                x + sign * unit if v in s_set else x for v, x in enumerate(source.coords)
+            ))
+            step = df.SignedStep(df.PartitionCircuit(s_set), sign, unit, frozenset())
+            yield graph, costs, df.Walk((source, moved), (step,), "circuit")
+        for vertex in vertices[:3]:
+            for neighbor in df.first_circuit_neighbors(graph, costs, vertex):
+                yield graph, costs, df.Walk((vertex, neighbor.point), neighbor.steps, "edge")
+
+
+def test_validate_walk_matches_the_reference():
+    """validate_walk and the checker from the definitions in conftest give
+    the same verdict on every walk of the corpus, and the corpus reaches a
+    valid walk and each of the twelve violations."""
+    verdicts = set()
+    for graph, costs, walk in _validation_corpus(random.Random(2019), 60):
+        report = df.validate_walk(graph, costs, walk)
+        assert report == reference_validation(graph, costs, walk), walk
+        violation = report.violation or "valid"
+        verdicts.add(re.sub(r"(point|step|points|and) \d+", r"\1 k", violation))
+    assert verdicts == {
+        "valid",
+        "point k has the wrong dimension",
+        "point k is infeasible",
+        "step k does not move",
+        "step k is not a multiple of a 0/1 direction",
+        "step k moves the wrong node set",
+        "step k uses an invalid circuit",
+        "step k disagrees with its record",
+        "step k is impossible: no edge bounds this direction",
+        "step k is not maximal",
+        "step k records wrong entering edges",
+        "point k is not a vertex",
+        "points k and k are not adjacent vertices",
+    }
 
 
 # ---------------------------------------------------------------------------
