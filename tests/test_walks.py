@@ -490,6 +490,25 @@ def test_edge_walk_degenerate_messages():
         ).valid
 
 
+def test_edge_walk_counts_tight_class_pairs_not_tight_edges():
+    """The edge walk's degeneracy rule counts the tight edges between
+    classes once per class pair, the pinned edges forming the classes.  The
+    source has five tight edges on five nodes, yet the target-tree edges
+    tight there are pinned before any step, and what is left between the
+    classes is a tree of pairs: one pivot reaches the target."""
+    graph = df.Digraph(
+        5, ((3, 0), (0, 4), (1, 2), (1, 3), (4, 1), (3, 2), (2, 4), (4, 3))
+    )
+    costs = df.cost_vector([1, 1, 1, 2, 1, 0, 2, 2])
+    source, target = df.Point.of(0, 2, -1, -1, 1), df.Point.of(0, -2, -5, -1, -3)
+    tight = [i for i in range(graph.edge_count) if df.slack(graph, costs, source, i) == 0]
+    assert len(tight) == 5
+    walk = df.edge_walk(graph, costs, source, target)
+    assert walk.length == 1
+    assert walk.points == (source, target)
+    assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+
+
 # ---------------------------------------------------------------------------
 # the integer grid
 
