@@ -95,7 +95,7 @@ def enumerate_partitions(graph: Digraph) -> tuple[PartitionCircuit, ...]:
 
 def circuit_vector(circuit: PartitionCircuit, node_count: int) -> tuple[Fraction, ...]:
     """The 0/1 direction vector of the circuit."""
-    if any(v >= node_count for v in circuit.s_set):
+    if any(not 0 <= v < node_count for v in circuit.s_set):
         raise ValidationError("circuit member out of range")
     return tuple(
         Fraction(1) if v in circuit.s_set else Fraction(0) for v in range(node_count)
@@ -234,6 +234,8 @@ def step_between(
     :class:`InfeasiblePoint`); any other move, one blocked at the source or
     unbounded included, raises :class:`ValidationError` naming why.
     """
+    if not is_feasible(graph, costs, source):
+        raise InfeasiblePoint("max_step requires a feasible start")
     return _step_between(graph, costs, source, target, 1)
 
 
@@ -244,9 +246,10 @@ def _step_between(
     target: Point,
     scale: int,
 ) -> SignedStep:
-    """:func:`step_between` on costs and points ``scale`` times the
-    instance's (a :class:`dualflow.model.Grid` view); the step is in the same
-    units, and the error message prints the instance's rationals."""
+    """:func:`step_between` from a source the caller holds feasible, on
+    costs and points ``scale`` times the instance's (a
+    :class:`dualflow.model.Grid` view); the step is in the same units, and
+    the error message prints the instance's rationals."""
     if len(source) != len(target):
         raise ValidationError("points have different lengths")
     if source == target:
@@ -256,8 +259,11 @@ def _step_between(
         raise ValidationError("difference is not a multiple of a 0/1 vector")
     members, delta = shift
     circuit, sign = PartitionCircuit(frozenset(members)), 1 if delta > 0 else -1
+    if not is_valid_circuit(graph, circuit.s_set):
+        raise ValidationError("not a circuit of this graph")
+    into, out = crossing_edges(graph, circuit.s_set)
     try:
-        step = max_step(graph, costs, source, circuit, sign)
+        step = _max_step(graph, costs, source, circuit, sign, into if sign > 0 else out)
     except (NotApplicable, UnboundedDirection) as exc:
         raise ValidationError(f"step is not maximal: {exc}") from exc
     if step.epsilon != abs(delta):

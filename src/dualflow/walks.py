@@ -8,16 +8,13 @@ mode: pivots for edge walks, insertion partitions for circuit walks.
 
 The builders check their endpoints (:func:`dualflow.model.check_vertices`)
 and walk the original graph on the grid that check built, the instance's
-integer view (:class:`dualflow.model.Grid`).  Pinning merges the classes
-at the edge's ends, a class being the nodes joined by pinned edges, and
-the step rules run on classes: an ordered pair of distinct classes stands
-for the edges between them, with the least of their slacks, and a step's
-S is a circuit when it and its complement are connected among the
-classes.  The driver keeps one slack per edge and updates it at the edges
-a step's S moves, which :func:`dualflow.circuits.crossing_edges` splits
-into blocking and loosening ones; every step is recorded on the original
-graph as it is taken, with its length converted to
-:class:`~fractions.Fraction` once.
+integer view (:class:`dualflow.model.Grid`).  The step rules take edge
+indices and return node sets; a pinned edge counts as tight in both
+directions, so no step separates its ends, and each step's S is a circuit
+by construction.  The driver keeps one slack per edge and updates it at
+the edges a step's S moves, which :func:`dualflow.circuits.crossing_edges`
+splits into blocking and loosening ones; every step is recorded as it is
+taken, with its length converted to :class:`~fractions.Fraction` once.
 No contracted instance is built: :func:`contract_edge`, :func:`lift_point`
 and :func:`project_point` serve callers that want the face polyhedron
 itself.
@@ -37,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .circuits import (
     PartitionCircuit,
@@ -77,6 +74,7 @@ from .model import (
     is_feasible,
     slack,
     tight_graph,
+    tree_adjacency,
     underlying_adjacency,
 )
 
@@ -242,71 +240,68 @@ def project_point(record: ContractionRecord, point: Point) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# step rules on node classes
+# step rules
 #
-# The builders pin each inserted edge by merging the classes at its ends, so
-# their step rules run on classes: an ordered pair of distinct classes stands
-# for every edge between them, and it is tight when one of those edges is.
-# The public functions below run the same rules with every node its own
-# class.
+# Both rules take edge indices and return node sets.  The builders pin each
+# inserted edge, and a pinned edge counts as tight in both directions, so no
+# step separates its ends; the public functions below run the rules with
+# nothing pinned.
 
 
 def _last_backward(
-    classes: frozenset[int], pairs: Sequence[tuple[int, int]], start: int, goal: int
+    graph: Digraph, tree: Iterable[int], pinned: Collection[int], start: int, goal: int
 ) -> tuple[int, frozenset[int], frozenset[int]]:
-    """On the path from ``start`` to ``goal`` in the spanning tree of the
-    classes formed by ``pairs``, the index of the last pair directed away
-    from ``goal``, and the classes on each side of the tree without it."""
-    adj: dict[int, list[int]] = {c: [] for c in classes}
-    pair_at: dict[tuple[int, int], int] = {}
-    for k, (tail, head) in enumerate(pairs):
-        adj[tail].append(head)
-        adj[head].append(tail)
-        pair_at[tail, head] = pair_at[head, tail] = k
+    """On the path from ``start`` to ``goal`` in the spanning tree, the last
+    edge directed away from ``goal`` that is not pinned, and the nodes on
+    each side of the tree without it, each side joined by tree edges."""
+    adj, edge_of = tree_adjacency(graph, tree)
     parents = bfs_parents(start, adj.__getitem__)
-    if goal not in parents:
-        raise InternalInvariant("the tight pairs do not span the classes")
-    # walking back from the goal, the first pair whose tail lies nearer the
+    # walking back from the goal, the first edge whose tail lies nearer the
     # goal is the last one on the path pointing away from it
     node = goal
     while node != start:
         prev = parents[node]
-        chosen = pair_at[prev, node]
-        if pairs[chosen][0] == node:
+        chosen = edge_of[prev, node]
+        if graph.edges[chosen][0] == node and chosen not in pinned:
             break
         node = prev
     else:
         raise NoBackwardEdge("the whole tree path is directed toward the goal")
     side_of_start = frozenset(
-        bfs_parents(start, lambda v: [w for w in adj[v] if pair_at[v, w] != chosen])
+        bfs_parents(start, lambda v: [w for w in adj[v] if edge_of[v, w] != chosen])
     )
-    return chosen, side_of_start, classes - side_of_start
+    return chosen, side_of_start, frozenset(range(graph.node_count)) - side_of_start
 
 
 def _insertion_partition(
-    classes: frozenset[int],
-    adjacency,
-    tight: Iterable[tuple[int, int]],
-    start: int,
-    goal: int,
+    graph: Digraph, tight: Iterable[int], pinned: Iterable[int], start: int, goal: int
 ) -> tuple[frozenset[int], int, frozenset[int]]:
-    """The insertion partition of the loose pair ``(start, goal)``: the S
-    side (anchor class outside), its sign, and the reach set, the classes
-    with a tight directed path into ``goal``.  ``adjacency`` maps each class
-    to its neighbours in the underlying graph."""
-    into: dict[int, list[int]] = {}
-    for tail, head in tight:
-        into.setdefault(head, []).append(tail)
-    goal_side = frozenset(bfs_parents(goal, lambda v: into.get(v, ())))
+    """The insertion partition of the loose edge from ``start`` to ``goal``:
+    the S side (anchor outside), its sign, and the reach set, the nodes with
+    a directed path into ``goal`` along tight edges, pinned ones either way.
+
+    Both sides are connected: the start side is a component of the graph
+    without the reach set, and every other node is joined to the reach set,
+    itself connected, by a path that avoids the start side.
+    """
+    into: list[list[int]] = [[] for _ in range(graph.node_count)]
+    for i in tight:
+        tail, head = graph.edges[i]
+        into[head].append(tail)
+    for i in pinned:
+        tail, head = graph.edges[i]
+        into[tail].append(head)
+    goal_side = frozenset(bfs_parents(goal, into.__getitem__))
     if start in goal_side:
         raise PathConflict(
             "a tight directed path already runs from the edge's tail to its head"
         )
+    adjacency = underlying_adjacency(graph)
     start_side = frozenset(
         bfs_parents(start, lambda v: [w for w in adjacency[v] if w not in goal_side])
     )
     if ANCHOR in start_side:
-        return classes - start_side, 1, goal_side
+        return frozenset(range(graph.node_count)) - start_side, 1, goal_side
     return start_side, -1, goal_side
 
 
@@ -324,11 +319,7 @@ def last_backward_edge(
         raise ValidationError(f"node {start} or {goal} out of range")
     if start == goal:
         raise ValidationError("start and goal coincide")
-    tree = sorted(check_spanning_tree(graph, tree))
-    chosen, side_of_start, side_of_goal = _last_backward(
-        frozenset(range(graph.node_count)), [graph.edges[i] for i in tree], start, goal
-    )
-    return tree[chosen], side_of_start, side_of_goal
+    return _last_backward(graph, check_spanning_tree(graph, tree), (), start, goal)
 
 
 def build_insertion_partition(
@@ -349,10 +340,7 @@ def build_insertion_partition(
     if slack(graph, costs, point, edge_index) == 0:
         raise ValidationError("edge is already tight")
     s_set, sign, _ = _insertion_partition(
-        frozenset(range(graph.node_count)),
-        underlying_adjacency(graph),
-        [graph.edges[i] for i in tight_graph(graph, costs, point)],
-        *graph.edges[edge_index],
+        graph, tight_graph(graph, costs, point), (), *graph.edges[edge_index]
     )
     if not is_valid_circuit(graph, s_set):
         raise InvalidPartition("a side of the partition is disconnected")
@@ -369,8 +357,10 @@ def walk_from_points(
     """Assemble a walk by recovering the signed step of each move, on a grid
     fine enough for the points as well as the costs.  The first point must be
     feasible (else :class:`InfeasiblePoint`) and each move a maximal step
-    (else :class:`ValidationError`); edge mode checks neither vertices nor
-    adjacency, which :func:`validate_walk` does."""
+    (else :class:`ValidationError`), so every later point, the end of a
+    maximal step from a feasible point, is feasible without a check; edge
+    mode checks neither vertices nor adjacency, which :func:`validate_walk`
+    does."""
     check_costs(graph, costs)
     grid = Grid(costs, points)
     states = [Point(grid.to_state(p)) for p in points]
@@ -407,14 +397,16 @@ def _insertion_walk(
     the endpoint check returns; an edge walk's target must carry no extra
     tight edge.
 
-    The state is the point, one slack per edge, updated only at the edges
-    that cross a step's S, and a label per node naming its class, the nodes
-    joined by pinned edges (the anchor's class is labelled 0).  An edge
-    walk pivots at the last backward tight pair on the tree path from the
-    edge's tail class to its head class; any tie aborts, and the pairs it
-    pivots out may not come back.  A circuit walk steps along the insertion
-    partition, whose reach set must grow every step.  Each step is recorded
-    on the original graph as it is taken.
+    The state is the point and one slack per edge, updated only at the
+    edges that cross a step's S.  A class is the nodes joined by pinned
+    edges, and ``c`` is the number of classes.  An edge walk pivots at the
+    last backward edge on the tree path from the inserted edge's tail to
+    its head, the tree being the pinned edges plus one tight edge per
+    ordered pair of classes; any tie aborts, and the class pairs it pivots
+    out may not come back; for those counts it labels each node with its
+    class.  A circuit walk steps along
+    the insertion partition, whose reach set must grow every step.  Each
+    step is recorded on the original graph as it is taken.
     """
     grid, (_, target_tight), (source_state, target_state) = _check_vertices(
         graph, costs, (source, target)
@@ -427,55 +419,36 @@ def _insertion_walk(
     edges = graph.edges
     state = list(source_state)
     slacks = [c - state[head] + state[tail] for c, (tail, head) in zip(grid.costs, edges)]
+    pinned: list[int] = []
     label = list(range(n))
     coords = list(grid.to_point(state))
     points, steps = [Point(tuple(coords))], []
     for inserted in _lexmin_tree(graph, target_tight):
-        start, goal = label[edges[inserted][0]], label[edges[inserted][1]]
-        if start == goal:
-            raise InternalInvariant("a target edge collapsed")
-        # the edges between distinct classes, each with its class pair
-        live = [
-            (i, (label[tail], label[head]))
-            for i, (tail, head) in enumerate(edges)
-            if label[tail] != label[head]
-        ]
-        classes = frozenset(label)
-        adjacency: dict[int, set[int]] = {x: set() for x in classes}
-        for _, (a, b) in live:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        inserting = [i for i, pair in live if pair == (start, goal)]
-        pairs = {pair for _, pair in live}
-        c = len(classes)
-        bound = min(len(pairs), c * (c - 1) // 2)
-        phase: list = []  # pivoted-out pairs, or reach sets
-        while all(slacks[i] for i in inserting):
-            tight = {pair for i, pair in live if not slacks[i]}
+        start, goal = edges[inserted]
+        c = n - len(pinned)
+        phase: list = []  # pivoted-out class pairs, or reach sets
+        if mode == "edge":
+            pair_of = [(label[tail], label[head]) for tail, head in edges]
+            bound = min(len({p for p in pair_of if p[0] != p[1]}), c * (c - 1) // 2)
+        while slacks[inserted]:
+            tight = [i for i, x in enumerate(slacks) if not x]
             if mode == "edge":
-                if len(tight) != c - 1:
+                across = {pair_of[i]: i for i in tight if pair_of[i][0] != pair_of[i][1]}
+                if len(across) != c - 1:
                     raise DegenerateInstance(
                         "a walk vertex carries extra tight edges; perturb the costs"
                     )
-                tree = list(tight)
-                dropped, start_side, goal_side = _last_backward(classes, tree, start, goal)
-                s_classes, sign = (goal_side, 1) if ANCHOR in start_side else (start_side, -1)
-            else:
-                s_classes, sign, reach = _insertion_partition(
-                    classes, adjacency, tight, start, goal
+                dropped, start_side, goal_side = _last_backward(
+                    graph, pinned + list(across.values()), pinned, start, goal
                 )
+                s_set, sign = (goal_side, 1) if ANCHOR in start_side else (start_side, -1)
+            else:
+                s_set, sign, reach = _insertion_partition(graph, tight, pinned, start, goal)
                 if phase and not reach > phase[-1]:
                     raise InternalInvariant("insertion step did not grow the reach set")
                 phase.append(reach)
                 if len(phase) > c - 1:
                     raise InternalInvariant("insertion phase exceeded its guaranteed bound")
-            # each class is joined by pinned edges, so S and its complement
-            # are connected iff they are among the classes (the n - c unused
-            # labels count as one component each)
-            inside = [(a, b) for a, b in pairs if (a in s_classes) == (b in s_classes)]
-            if ANCHOR in s_classes or component_count(n, inside) != n - c + 2:
-                raise InternalInvariant("a step's S is not a circuit of the graph")
-            s_set = frozenset(v for v in range(n) if label[v] in s_classes)
             into, out = crossing_edges(graph, s_set)
             blocking, loosening = (into, out) if sign > 0 else (out, into)
             epsilon = min((slacks[i] for i in blocking), default=0)
@@ -487,14 +460,14 @@ def _insertion_walk(
                 slacks[i] += epsilon
             entering = frozenset(i for i in blocking if not slacks[i])
             if mode == "edge":
-                entering_pairs = {pair for i, pair in live if i in entering}
+                entering_pairs = {pair_of[i] for i in entering}
                 if len(entering_pairs) > 1:
                     raise DegenerateInstance(
                         "pivot tightened several inequalities at once; perturb the costs"
                     )
                 if entering_pairs.intersection(phase):
                     raise InternalInvariant("re-inserted a deleted edge")
-                phase.append(tree[dropped])
+                phase.append(pair_of[dropped])
                 if len(phase) > bound:
                     raise InternalInvariant("pivot phase exceeded its guaranteed bound")
             for v in s_set:
@@ -504,8 +477,8 @@ def _insertion_walk(
             steps.append(SignedStep(
                 PartitionCircuit(s_set), sign, grid.to_rational(epsilon), entering
             ))
-        # pin the inserted pair: its higher label joins the lower one
-        kept, merged = sorted((start, goal))
+        pinned.append(inserted)
+        kept, merged = label[start], label[goal]
         label = [kept if x == merged else x for x in label]
     if tuple(state) != target_state:
         raise InternalInvariant(f"{mode} walk did not terminate at the target")

@@ -166,6 +166,13 @@ def test_circuit_vector(s_set, expected):
     assert df.circuit_vector(circuit, 4) == tuple(Fraction(x) for x in expected)
 
 
+@pytest.mark.parametrize("member", [4, -1])
+def test_circuit_vector_rejects_a_member_out_of_range(member):
+    circuit = df.PartitionCircuit(frozenset({member}))
+    with pytest.raises(df.ValidationError, match="^circuit member out of range$"):
+        df.circuit_vector(circuit, 4)
+
+
 def test_circuit_rejects_anchor():
     with pytest.raises(df.ValidationError):
         df.PartitionCircuit(frozenset({0, 1}))

@@ -944,8 +944,8 @@ def test_builders_build_no_contracted_instance(monkeypatch, near_vertex, far_ver
 def test_builders_build_one_grid_and_no_whole_graph_circuit_test(
     monkeypatch, near_vertex, far_vertex
 ):
-    """Each builder call builds one Grid, in its endpoint check, and tests
-    its steps' circuits on the node classes, not on the whole graph."""
+    """Each builder call builds one Grid, in its endpoint check, and runs no
+    whole-graph circuit test: its steps' S are circuits by construction."""
     grids = []
 
     class CountingGrid(Grid):
