@@ -403,10 +403,10 @@ def _insertion_walk(
     last backward edge on the tree path from the inserted edge's tail to
     its head, the tree being the pinned edges plus one tight edge per
     ordered pair of classes; any tie aborts, and the class pairs it pivots
-    out may not come back; for those counts it labels each node with its
-    class.  A circuit walk steps along
-    the insertion partition, whose reach set must grow every step.  Each
-    step is recorded on the original graph as it is taken.
+    out may not come back.  Only these counts read the label per node that
+    names its class.  A circuit walk steps along the insertion partition,
+    whose reach set must grow every step.  Each step is recorded on the
+    original graph as it is taken.
     """
     grid, (_, target_tight), (source_state, target_state) = _check_vertices(
         graph, costs, (source, target)

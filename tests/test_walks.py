@@ -668,6 +668,23 @@ def test_walk_from_points_checks_the_first_point(example, near_vertex):
     assert walk.points == (near_vertex,) and walk.steps == ()
 
 
+def test_walk_from_points_tests_feasibility_once(monkeypatch, example, near_vertex, far_vertex):
+    """Only the first point is tested for feasibility: every later one ends
+    a maximal step from a feasible point."""
+    graph, costs = example
+    walk = df.circuit_walk(graph, costs, near_vertex, far_vertex)
+    tested = []
+
+    def counting(*args):
+        tested.append(args[2])
+        return df.is_feasible(*args)
+
+    monkeypatch.setattr("dualflow.walks.is_feasible", counting)
+    monkeypatch.setattr("dualflow.circuits.is_feasible", counting)
+    assert df.walk_from_points(graph, costs, walk.points, "circuit") == walk
+    assert len(tested) == 1
+
+
 def test_walk_from_points_off_the_cost_grid(example):
     """Points need not lie on the costs' grid: the grid widens to hold them."""
     graph, costs = example
