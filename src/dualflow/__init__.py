@@ -1,9 +1,9 @@
 """Exact-arithmetic toolkit for dual network flow polyhedra.
 
 Models the polyhedron ``{u : u_head - u_tail <= cost on every edge, u[0] = 0}``
-of a directed graph with rational costs, enumerates its vertices from
-spanning trees, walks its skeleton and its circuit directions, and measures
-combinatorial and circuit distances and diameters exactly.
+of a directed graph with rational costs, enumerates its vertices by
+pivoting between them, walks its skeleton and its circuit directions, and
+measures combinatorial and circuit distances and diameters exactly.
 """
 
 from .circuits import (

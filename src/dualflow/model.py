@@ -232,12 +232,16 @@ def join_points(
     each block node sits at its anchor's coordinate plus its local one.
     ``parts`` come in :func:`blocks` order, which sets every anchor before
     its block."""
-    coords = [Fraction(0)] * node_count
-    for block, point in zip(parts, points):
+    return Point(_join(node_count, parts, [point.coords for point in points], Fraction(0)))
+
+
+def _join(node_count: int, parts: Sequence[Block], locals_: Sequence[Sequence], zero) -> tuple:
+    coords = [zero] * node_count
+    for block, local in zip(parts, locals_):
         base = coords[block.nodes[0]]
-        for v, local in zip(block.nodes[1:], point.coords[1:]):
-            coords[v] = base + local
-    return Point(tuple(coords))
+        for v, x in zip(block.nodes[1:], local[1:]):
+            coords[v] = base + x
+    return tuple(coords)
 
 
 @lru_cache(maxsize=256)
@@ -368,8 +372,11 @@ class Grid:
         return Fraction(value, self.scale)
 
     def to_point(self, state: Iterable[int]) -> Point:
-        """The point whose coordinates times ``scale`` are ``state``."""
-        return Point(tuple(map(self.to_rational, state)))
+        """The point whose coordinates times ``scale`` are ``state``, without
+        :class:`Point`'s checks: its states are anchored, its values exact."""
+        point = object.__new__(Point)
+        object.__setattr__(point, "coords", tuple(map(self.to_rational, state)))
+        return point
 
 
 SpanningTree = frozenset[int]
@@ -458,13 +465,15 @@ def slack(
     return costs[edge_index] - point[head] + point[tail]
 
 
+def _check_dimension(graph: Digraph, point: Point) -> None:
+    if len(point) != graph.node_count:
+        raise DimensionMismatch(f"point has {len(point)} coords for {graph.node_count} nodes")
+
+
 def is_feasible(graph: Digraph, costs: Sequence[Fraction], point: Point) -> bool:
     """True iff every edge inequality holds exactly."""
     check_costs(graph, costs)
-    if len(point) != graph.node_count:
-        raise DimensionMismatch(
-            f"point has {len(point)} coords for {graph.node_count} nodes"
-        )
+    _check_dimension(graph, point)
     return all(
         point[head] - point[tail] <= costs[i]
         for i, (tail, head) in enumerate(graph.edges)
@@ -485,7 +494,15 @@ def feasibility_status(graph: Digraph, costs: Sequence[Fraction]) -> Feasibility
     On success the shifted labels give a feasible witness point.
     """
     check_costs(graph, costs)
-    labels = [Fraction(0)] * graph.node_count
+    labels = _bellman_ford(graph, costs, Fraction(0))
+    if labels is None:
+        return FeasibilityResult(False, None)
+    return FeasibilityResult(True, Point(tuple(lab - labels[ANCHOR] for lab in labels)))
+
+
+def _bellman_ford(graph: Digraph, costs: Sequence, zero) -> list | None:
+    """The labels from a ``zero``-label source, None on a negative cycle."""
+    labels = [zero] * graph.node_count
     changed = True
     for _ in range(graph.node_count - 1):
         if not changed:
@@ -498,10 +515,8 @@ def feasibility_status(graph: Digraph, costs: Sequence[Fraction]) -> Feasibility
                 changed = True
     for i, (tail, head) in enumerate(graph.edges):
         if labels[tail] + costs[i] < labels[head]:
-            return FeasibilityResult(False, None)
-    anchor_label = labels[ANCHOR]
-    witness = Point(tuple(lab - anchor_label for lab in labels))
-    return FeasibilityResult(True, witness)
+            return None
+    return labels
 
 
 def tight_graph(
@@ -509,18 +524,11 @@ def tight_graph(
 ) -> TightEdgeSet:
     """Indices of edges whose inequality is tight at the point."""
     check_costs(graph, costs)
-    if len(point) != graph.node_count:
-        raise DimensionMismatch(
-            f"point has {len(point)} coords for {graph.node_count} nodes"
-        )
-    tight = []
-    for i, (tail, head) in enumerate(graph.edges):
-        gap = costs[i] - point[head] + point[tail]
-        if gap < 0:
-            raise InfeasiblePoint("tight_graph requires a feasible point")
-        if gap == 0:
-            tight.append(i)
-    return frozenset(tight)
+    _check_dimension(graph, point)
+    gaps = [c - point[head] + point[tail] for c, (tail, head) in zip(costs, graph.edges)]
+    if min(gaps, default=0) < 0:
+        raise InfeasiblePoint("tight_graph requires a feasible point")
+    return frozenset(i for i, gap in enumerate(gaps) if not gap)
 
 
 def check_spanning_tree(graph: Digraph, tree: Iterable[int]) -> SpanningTree:
@@ -598,18 +606,19 @@ def _check_vertices(
     grid = Grid(costs, points)
     tights, states = [], []
     for point in points:
+        _check_dimension(graph, point)
         state = grid.to_state(point)
-        try:
-            tight = tight_graph(graph, grid.costs, Point(state))
-        except InfeasiblePoint:
+        slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, graph.edges)]
+        if min(slacks, default=0) < 0:
             if not feasibility_status(graph, costs).feasible:
-                raise InfeasibleInstance(_NO_VERTEX) from None
-            i = next(i for i in range(graph.edge_count) if slack(graph, costs, point, i) < 0)
+                raise InfeasibleInstance(_NO_VERTEX)
+            i = next(i for i, s in enumerate(slacks) if s < 0)
             tail, head = graph.edges[i]
             raise InfeasiblePoint(
                 f"{point} is infeasible: edge {i} ({tail} -> {head}) has slack "
-                f"{rational_str(slack(graph, costs, point, i))}"
-            ) from None
+                f"{rational_str(grid.to_rational(slacks[i]))}"
+            )
+        tight = frozenset(i for i, s in enumerate(slacks) if not s)
         if component_count(graph.node_count, [graph.edges[i] for i in tight]) != 1:
             raise NotAVertex(f"{point} is not a vertex")
         tights.append(tight)
@@ -667,7 +676,7 @@ def enumerate_spanning_trees(
     :class:`InstanceTooLarge` when the count exceeds ``cap``.
     """
     _check_tree_cap(count_spanning_trees(graph), cap)
-    yield from (tree for tree, _ in _tree_search(graph, lambda kept, *_: kept, True))
+    yield from _tree_search(graph, range(graph.edge_count))
 
 
 def _check_tree_cap(total: int, cap: int) -> None:
@@ -675,56 +684,33 @@ def _check_tree_cap(total: int, cap: int) -> None:
         raise InstanceTooLarge(f"{total} spanning trees exceed cap {cap}")
 
 
-def _tree_search(
-    graph: Digraph, include: Callable[..., object], start: object
-) -> Iterator[tuple[SpanningTree, object]]:
+def _tree_search(graph: Digraph, usable: Sequence[int]) -> Iterator[SpanningTree]:
     """The one spanning-tree search: include/exclude backtracking (Read and
-    Tarjan, 1975) over the edges in index order, include first, so trees
-    come in lexicographic order of their sorted edge indices.
+    Tarjan, 1975) over ``usable``, ascending indices of edges that span the
+    graph, include first, so trees come in lexicographic order.  ``label``
+    maps each node to its component's root; an edge is excluded only while
+    the later edges can still span, so every branch yields a tree."""
+    n, edges = graph.node_count, [graph.edges[i] for i in usable]
 
-    ``label`` maps each node to its component's root, whose own label is
-    itself: a flat union-find parent list.  Each edge that joins two
-    components calls ``include(value, index, moved, label)``, ``moved``
-    being the head's component, for the value the include branch carries,
-    or ``None`` to cut that branch.  An edge is excluded only while the later
-    edges can still span, so every branch yields a tree and its value.
-    """
-    n, edges = graph.node_count, graph.edges
-
-    def rec(index: int, chosen: list[int], label: list[int], value) -> Iterator:
+    def rec(index: int, chosen: list[int], label: list[int]) -> Iterator[SpanningTree]:
         if len(chosen) == n - 1:
-            yield frozenset(chosen), value
+            yield frozenset(chosen)
             return
         tail, head = edges[index]
         root_t, root_h = label[tail], label[head]
-        cycle = root_t == root_h
-        if not cycle:
-            moved = [v for v in range(n) if label[v] == root_h]
-            included = include(value, index, moved, label)
-            if included is not None:
-                chosen.append(index)
-                joined = [root_t if root == root_h else root for root in label]
-                yield from rec(index + 1, chosen, joined, included)
-                chosen.pop()
-        # skipping a cycle edge cannot disconnect anything
-        if cycle or _spannable(graph, label, index + 1, n - len(chosen)):
-            yield from rec(index + 1, chosen, label, value)
+        if root_t != root_h:
+            chosen.append(usable[index])
+            joined = [root_t if root == root_h else root for root in label]
+            yield from rec(index + 1, chosen, joined)
+            chosen.pop()
+        # skipping a cycle edge cannot disconnect anything; else the later
+        # edges must still join the forest's components, named by ``label``
+        if root_t == root_h or component_count(
+            n, [(label[t], label[h]) for t, h in edges[index + 1 :]]
+        ) == len(chosen) + 1:
+            yield from rec(index + 1, chosen, label)
 
-    yield from rec(0, [], list(range(n)), start)
-
-
-def _spannable(graph: Digraph, label: list[int], start: int, components: int) -> bool:
-    """Can the forest's ``components`` components, flat in ``label``, still
-    be joined into one by edges >= start?"""
-    probe = label[:]
-    for tail, head in graph.edges[start:]:
-        rt, rh = _find(probe, tail), _find(probe, head)
-        if rt != rh:
-            probe[rt] = rh
-            components -= 1
-            if components == 1:
-                return True
-    return False
+    yield from rec(0, [], list(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,91 +741,116 @@ def enumerate_vertices(
     """Every vertex, sorted by coordinates.  Results are cached per instance
     and cap.
 
-    The vertices are the product of the blocks' vertices (see
-    :func:`blocks`), and each tree witness is the union of one witness tree
-    per block.  Each block searches its spanning trees on the integer grid
-    and cuts every forest that no feasible tree completes (see
-    :func:`_tree_vertex_set`).  ``tree_cap`` bounds the whole graph's
-    spanning trees, the product of the blocks' counts, because the result
-    is the product.  Every spanning tree counts, feasible or not: the count
-    comes from the matrix-tree theorem before any search, so the cap raises
-    :class:`InstanceTooLarge` on the same instances as a search of every
-    tree would.
-    """
+    The vertices are the product of the blocks' (see :func:`blocks`), each
+    found by :func:`_pivot_search`; a tree witness is the union of one per
+    block.  ``tree_cap`` bounds the product of the blocks' spanning tree
+    counts, taken by the matrix-tree theorem before any search."""
     check_costs(graph, costs)
     return _vertex_set(graph, tuple(costs), tree_cap)
 
 
 @lru_cache(maxsize=64)
 def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
+    """The blocks' vertices, joined and sorted on the whole graph's grid."""
     parts = blocks(graph)
     if len(parts) == 1:
-        return _tree_vertex_set(graph, costs, tree_cap)
+        return _pivot_search(graph, costs, tree_cap)[0]
     _check_tree_cap(math.prod(count_spanning_trees(b.graph) for b in parts), tree_cap)
+    grid = Grid(costs)
     factors = []
     for block in parts:
-        vertex_set = _vertex_set(block.graph, block.costs(costs), tree_cap)
-        witnesses = [
-            [frozenset(block.edges[i] for i in tree) for tree in trees]
-            for trees in vertex_set.tree_witnesses
-        ]
-        factors.append(list(zip(vertex_set.vertices, witnesses)))
-    combined = []
+        found = _pivot_search(block.graph, block.costs(costs), tree_cap)[0]
+        factors.append([
+            (grid.to_state(vertex), [frozenset(block.edges[i] for i in t) for t in trees])
+            for vertex, trees in zip(found.vertices, found.tree_witnesses)
+        ])
+    joined = []
     for choice in itertools.product(*factors):
-        vertex = join_points(graph.node_count, parts, [point for point, _ in choice])
-        trees = tuple(
-            frozenset().union(*union)
-            for union in itertools.product(*(witnesses for _, witnesses in choice))
-        )
-        combined.append((vertex, trees))
-    combined.sort(key=lambda item: item[0].coords)
-    return VertexSet(
-        tuple(vertex for vertex, _ in combined),
-        tuple(trees for _, trees in combined),
-    )
+        states, trees = zip(*choice)
+        unions = itertools.starmap(frozenset().union, itertools.product(*trees))
+        joined.append((_join(graph.node_count, parts, states, 0), tuple(unions)))
+    joined.sort()  # the states are distinct, so the witnesses are never compared
+    return VertexSet(tuple(grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined))
 
 
-def _tree_vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
-    """The spanning-tree search (:func:`_tree_search`) on the integer grid.
-
-    Each forest carries integer potentials that make its edges tight.
-    Including an edge shifts the head's component so that the edge is
-    tight, then checks every edge between the two components: their slacks
-    never change again, so a negative one cuts the branch.  A leaf's
-    potentials, re-based at the anchor, are then its vertex's grid state.
-    """
+@lru_cache(maxsize=64)
+def _pivot_search(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple[VertexSet, tuple]:
+    """The sorted vertices with their witnesses (their tight graphs' spanning
+    trees) and each one's skeleton neighbours, ascending, by breadth-first
+    search along pivots on the grid (after Avis and Fukuda, 1992).  Each
+    distinct pivot (:func:`_pivots`) moves once.  A witness spanning both parts
+    of two adjacent vertices' common tight set pivots along their edge."""
     _check_tree_cap(count_spanning_trees(graph), tree_cap)
     grid = Grid(costs)
-    edges = [(cost, tail, head) for cost, (tail, head) in zip(grid.costs, graph.edges)]
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(graph.node_count)]
-    for edge in edges:
-        incident[edge[1]].append(edge)
-        incident[edge[2]].append(edge)
-
-    def include(potential: list[int], index: int, moved: list[int], label: list[int]):
-        cost, tail, head = edges[index]
-        delta = cost - potential[head] + potential[tail]
-        shifted = potential[:]
-        for v in moved:
-            shifted[v] += delta
-        root_t = label[tail]
-        feasible = all(
-            c - shifted[h] + shifted[t] >= 0
-            for v in moved
-            for c, t, h in incident[v]
-            if root_t in (label[t], label[h])
-        )
-        return shifted if feasible else None
-
-    buckets: dict[tuple[int, ...], list[frozenset[int]]] = {}
-    for tree, potential in _tree_search(graph, include, [0] * graph.node_count):
-        base = potential[ANCHOR]
-        buckets.setdefault(tuple(p - base for p in potential), []).append(tree)
-    ordered = sorted(buckets)
+    n, edges = graph.node_count, graph.edges
+    queue = _first_vertex(graph, grid.costs)
+    witnesses, neighbours = {}, {state: [] for state in queue}
+    for state in queue:
+        slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
+        tight = [i for i, s in enumerate(slacks) if not s]
+        trees = [frozenset(tight)] if len(tight) == n - 1 else list(_tree_search(graph, tight))
+        witnesses[state] = tuple(trees)
+        for members, sign in _pivots(graph, tight, trees):
+            target = _move(state, slacks, edges, members, sign)
+            if target:
+                neighbours[state].append(target)
+                if target not in neighbours:
+                    neighbours[target] = []
+                    queue.append(target)
+    states = sorted(queue)
+    index = {state: k for k, state in enumerate(states)}
     return VertexSet(
-        tuple(map(grid.to_point, ordered)),
-        tuple(tuple(buckets[state]) for state in ordered),
-    )
+        tuple(map(grid.to_point, states)), tuple(witnesses[state] for state in states)
+    ), tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
+
+
+def _first_vertex(graph: Digraph, costs: Sequence[int]) -> list[tuple[int, ...]]:
+    """A vertex's grid state in a list, or []: Bellman-Ford, then tight parts meet."""
+    labels = _bellman_ford(graph, costs, 0)
+    state = labels and tuple(x - labels[ANCHOR] for x in labels)
+    while state:
+        slacks = [c - state[h] + state[t] for c, (t, h) in zip(costs, graph.edges)]
+        root = list(range(graph.node_count))
+        for s, (t, h) in zip(slacks, graph.edges):
+            if not s:
+                root[_find(root, t)] = _find(root, h)
+        loose = [v for v in range(graph.node_count) if _find(root, v) != _find(root, ANCHOR)]
+        if not loose:
+            return [state]
+        members = sum(1 << v for v in loose if _find(root, v) == _find(root, loose[0]))
+        up = _move(state, slacks, graph.edges, members, 1)
+        state = up or _move(state, slacks, graph.edges, members, -1)
+    return []
+
+
+def _move(state: tuple, slacks: list, edges: Sequence, members: int, sign: int) -> tuple | int:
+    """The state with bitmask ``members`` moved by ``sign`` to a blocking edge, or 0."""
+    heads, tails = (members, ~members) if sign > 0 else (~members, members)
+    blocking = [s for s, (t, h) in zip(slacks, edges) if heads >> h & tails >> t & 1]
+    move = sign * min(blocking, default=0)
+    return move and tuple(x + move * (members >> v & 1) for v, x in enumerate(state))
+
+
+def _pivots(graph: Digraph, tight: Sequence[int], trees: Sequence) -> set[tuple[int, int]]:
+    """A vertex's distinct ``(S, sign)``: ``S``, a bitmask, is the side without
+    the anchor once a witness's edge is cut, and ``sign`` loosens it.  With
+    fewer candidate sides than witnesses, each side is tested instead."""
+    n, edges, found = graph.node_count, graph.edges, set()
+    if len(trees) > 1 << (n - 1):
+        pairs = [edges[i] for i in tight]
+        for members in range(2, 1 << n, 2):
+            sides = [(members >> h & 1) - (members >> t & 1) for t, h in pairs]
+            if component_count(n, [p for p, side in zip(pairs, sides) if not side]) == 2:
+                found.update((members, -side) for side in sides if side)
+        return found
+    for tree in trees:
+        adj, edge_of = tree_adjacency(graph, tree)
+        below = [1 << v for v in range(n)]
+        for v, parent in reversed(bfs_parents(ANCHOR, adj.__getitem__).items()):
+            if parent is not None:
+                below[parent] |= below[v]
+                found.add((below[v], 1 if edges[edge_of[parent, v]][0] == v else -1))
+    return found
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Ground-truth oracles: vertex enumeration from spanning trees, skeleton
-adjacency, and exact distances/diameters by breadth-first search.
+"""Ground-truth oracles: the skeleton that the vertex solve's pivot search
+finds, and exact distances/diameters by breadth-first search.
 
 Every distance and diameter query is split at the cut vertices (see
 :func:`dualflow.model.blocks`).  The polyhedron is the product of its
@@ -56,6 +56,7 @@ from .model import (
     Point,
     VertexSet,
     _NO_VERTEX,
+    _pivot_search,
     blocks,
     check_costs,
     check_vertices,
@@ -325,22 +326,10 @@ def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
 
 @lru_cache(maxsize=64)
 def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
-    """Raises :class:`InfeasibleInstance` for an empty polyhedron.
-
-    A vertex's tight graph is connected and has no self-loops, so each of
-    its edges lies in one of its spanning trees, the vertex's witness
-    trees: their union is the tight set."""
+    """The adjacency :func:`dualflow.model._pivot_search` found on the whole
+    graph; raises :class:`InfeasibleInstance` for an empty polyhedron."""
     vertex_set = _vertices(graph, costs, tree_cap)
-    n = len(vertex_set.vertices)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    tights = [frozenset().union(*trees) for trees in vertex_set.tree_witnesses]
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = [graph.edges[e] for e in tights[i] & tights[j]]
-            if component_count(graph.node_count, common) == 2:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    return _Skeleton(vertex_set, tuple(tuple(a) for a in adjacency))
+    return _Skeleton(vertex_set, _pivot_search(graph, costs, tree_cap)[1])
 
 
 _Space = _ScaledInstance | _Skeleton

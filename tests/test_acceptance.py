@@ -308,9 +308,19 @@ def test_criterion_9_bipartite_bounds():
             assert circuit == expected
             assert circuit <= m + n - 2
             assert df.diameter(graph, costs, "edge").value <= (m - 1) * (n - 1)
+        # one edge bound at m = n = 5: its 70 vertices and their skeleton
+        # come from the pivot search, not from its 390,625 spanning trees
+        m = n = 5
+        graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+        assert df.degeneracy_report(graph, costs).nondegenerate
+        assert len(df.enumerate_vertices(graph, costs).vertices) == 70
+        edge = df.diameter(graph, costs, "edge").value
+        assert edge == 9
+        assert edge <= (m - 1) * (n - 1)
         print(
             "  (criterion 9 detail: 50 random instances with m, n <= 3, "
-            "and bipartite 4x4 (cost seeds 7 and 11))"
+            "bipartite 4x4 (cost seeds 7 and 11), and the edge diameter of "
+            "bipartite 5x5 (cost seed 7))"
         )
 
 

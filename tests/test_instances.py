@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dualflow as df
 from conftest import random_sub_tournament
-from dualflow.model import DEFAULT_TREE_CAP, _tree_vertex_set
+from dualflow.model import DEFAULT_TREE_CAP, _pivot_search
 from dualflow.oracle import DEFAULT_STATE_CAP, _diameter, default_depth_cap
 
 
@@ -150,7 +150,7 @@ def test_glue_is_a_product(seed, sizes, integer_costs):
     )
     count = math.prod(len(df.enumerate_vertices(g, c).vertices) for g, c in parts)
     assert len(df.enumerate_vertices(glued, costs).vertices) == count
-    assert len(_tree_vertex_set(glued, costs, DEFAULT_TREE_CAP).vertices) == count
+    assert len(_pivot_search(glued, costs, DEFAULT_TREE_CAP)[0].vertices) == count
     depth_cap = default_depth_cap(glued)
     whole = {
         "edge": _diameter(

@@ -16,6 +16,7 @@ from conftest import (
     random_sub_tournament,
     reference_spanning_trees,
 )
+from dualflow.model import Grid, check_costs, check_vertices
 
 EXAMPLE_TEXT = """\
 # canonical 4-node instance
@@ -105,6 +106,37 @@ def test_point_accepts_ints_and_fractions():
     point = df.Point((0, 1, Fraction(1, 2)))
     assert point == df.Point.of(0, 1, "1/2")
     assert str(point) == "(0, 1, 1/2)"
+
+
+def test_point_still_rejects_a_float_coordinate():
+    """Grid points are built without the coordinate type test; the public
+    constructor keeps it."""
+    with pytest.raises(df.FormatError, match="bad coordinate"):
+        df.Point((0, 1.5))
+
+
+def test_grid_points_are_points_of_fractions(example, far_vertex):
+    graph, costs = example
+    grid = Grid(costs)
+    point = grid.to_point(grid.to_state(far_vertex))
+    assert point == far_vertex and hash(point) == hash(far_vertex)
+    assert all(isinstance(c, Fraction) for c in point)
+
+
+def test_check_vertices_checks_the_costs_once(monkeypatch, example, near_vertex, far_vertex):
+    """The endpoints' tight sets are read from the grid's costs, which are
+    not checked again."""
+    graph, costs = example
+    expected = [df.tight_graph(graph, costs, v) for v in (near_vertex, far_vertex)]
+    checked = []
+
+    def counting(*args):
+        checked.append(args)
+        return check_costs(*args)
+
+    monkeypatch.setattr("dualflow.model.check_costs", counting)
+    assert check_vertices(graph, costs, near_vertex, far_vertex) == expected
+    assert len(checked) == 1
 
 
 def test_builder_rejects_a_float_endpoint(example, far_vertex):

@@ -17,8 +17,8 @@ from conftest import (
     random_sub_tournament,
     reference_neighbors,
 )
-from dualflow.model import blocks, component_count, join_points
-from dualflow.oracle import default_depth_cap
+from dualflow.model import DEFAULT_TREE_CAP, blocks, component_count, join_points
+from dualflow.oracle import _skeleton, default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
 WALK_POINTS = [
@@ -753,6 +753,35 @@ def test_tree_cap_counts_every_spanning_tree():
     with pytest.raises(df.InstanceTooLarge):
         df.enumerate_vertices(graph, costs, tree_cap=50)
     assert len(df.enumerate_vertices(graph, costs, tree_cap=51).vertices) == 14
+
+
+def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
+    """The adjacency that the vertex solve's pivot search finds is the
+    rank-based adjacency over every vertex pair, on degenerate instances
+    too; the infeasible instance has no skeleton.  The reference's tight
+    sets, a pure function of the instance and the point, are computed once
+    per vertex."""
+    monkeypatch.setitem(
+        geometric_adjacency.__globals__, "reference_tight",
+        lru_cache(maxsize=None)(geometric_adjacency.__globals__["reference_tight"]),
+    )
+    degenerate = 0
+    for graph, costs in biconnected_instances():
+        try:
+            skeleton = _skeleton(graph, tuple(costs), DEFAULT_TREE_CAP)
+        except df.InfeasibleInstance:
+            assert not df.feasibility_status(graph, costs).feasible
+            continue
+        vertices = skeleton.vertex_set.vertices
+        expected: list[list[int]] = [[] for _ in vertices]
+        for i, u in enumerate(vertices):
+            for j in range(i + 1, len(vertices)):
+                if geometric_adjacency(graph, costs, u, vertices[j]):
+                    expected[i].append(j)
+                    expected[j].append(i)
+        assert skeleton.adjacency == tuple(map(tuple, expected))
+        degenerate += not df.degeneracy_report(graph, costs).nondegenerate
+    assert degenerate >= 10
 
 
 def circuit_reference(graph, costs, vertices) -> dict:
