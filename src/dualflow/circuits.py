@@ -242,19 +242,19 @@ def step_between(
 def _step_between(
     graph: Digraph,
     costs: Sequence[Fraction],
-    source: Point,
-    target: Point,
+    source: Sequence,
+    target: Sequence,
     scale: int,
 ) -> SignedStep:
     """:func:`step_between` from a source the caller holds feasible, on
-    costs and points ``scale`` times the instance's (a
+    costs and points (or tuples) ``scale`` times the instance's (a
     :class:`dualflow.model.Grid` view); the step is in the same units, and
     the error message prints the instance's rationals."""
     if len(source) != len(target):
         raise ValidationError("points have different lengths")
     if source == target:
         raise ValidationError("points are identical")
-    shift = uniform_shift(source.coords, target.coords)
+    shift = uniform_shift(source, target)
     if shift is None:
         raise ValidationError("difference is not a multiple of a 0/1 vector")
     members, delta = shift

@@ -158,12 +158,13 @@ class Block:
         """The block's edge costs, as a tuple that the caches can key on."""
         return tuple(costs[i] for i in self.edges)
 
-    def local(self, point: Point) -> Point:
-        """The block's local coordinates of a point of the whole graph."""
-        base = point[self.nodes[0]]
-        if not base:
-            return Point(tuple(point[v] for v in self.nodes))
-        return Point(tuple(point[v] - base for v in self.nodes))
+    def local_state(self, state: Sequence[int], factor: int) -> tuple[int, ...]:
+        """The block's local coordinates of a grid state of the whole graph,
+        on the block's own grid, which is ``factor`` times coarser."""
+        local = [divmod(state[v] - state[self.nodes[0]], factor) for v in self.nodes]
+        if any(rest for _, rest in local):
+            raise InternalInvariant("a vertex is not on its block's grid")
+        return tuple(quotient for quotient, _ in local)
 
 
 @lru_cache(maxsize=256)
@@ -774,12 +775,13 @@ def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
 
 
 @lru_cache(maxsize=64)
-def _pivot_search(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple[VertexSet, tuple]:
+def _pivot_search(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple:
     """The sorted vertices with their witnesses (their tight graphs' spanning
-    trees) and each one's skeleton neighbours, ascending, by breadth-first
-    search along pivots on the grid (after Avis and Fukuda, 1992).  Each
-    distinct pivot (:func:`_pivots`) moves once.  A witness spanning both parts
-    of two adjacent vertices' common tight set pivots along their edge."""
+    trees), each one's skeleton neighbours, ascending, their grid states and
+    each state's index, by breadth-first search along pivots on the grid
+    (after Avis and Fukuda, 1992).  Each distinct pivot (:func:`_pivots`)
+    moves once.  A witness spanning both parts of two adjacent vertices'
+    common tight set pivots along their edge."""
     _check_tree_cap(count_spanning_trees(graph), tree_cap)
     grid = Grid(costs)
     n, edges = graph.node_count, graph.edges
@@ -797,11 +799,11 @@ def _pivot_search(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple[Ver
                 if target not in neighbours:
                     neighbours[target] = []
                     queue.append(target)
-    states = sorted(queue)
+    states = tuple(sorted(queue))
     index = {state: k for k, state in enumerate(states)}
-    return VertexSet(
-        tuple(map(grid.to_point, states)), tuple(witnesses[state] for state in states)
-    ), tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
+    vertex_set = VertexSet(tuple(map(grid.to_point, states)), tuple(map(witnesses.get, states)))
+    adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
+    return vertex_set, adjacency, states, index
 
 
 def _first_vertex(graph: Digraph, costs: Sequence[int]) -> list[tuple[int, ...]]:

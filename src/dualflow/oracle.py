@@ -5,13 +5,13 @@ Every distance and diameter query is split at the cut vertices (see
 :func:`dualflow.model.blocks`).  The polyhedron is the product of its
 blocks' polyhedra, so the skeleton is the Cartesian product of the blocks'
 skeletons, and every circuit lies inside one block.  Each block is
-searched on its own and the lengths add.  Witness walks move one block at a
-time: each of their points is joined from the blocks' local points by
-:func:`dualflow.model.join_points`, and the walk is checked on the whole
-graph by :func:`walk_from_points`.  A 2-connected graph is its own single
-block.  The depth and state caps bound the whole query, and the blocks
-share them; ``tree_cap`` applies per block.  Each query checks the cost
-vector's length on entry.
+searched on its own and the lengths add.  Distances run on the endpoint
+check's grid states; a block's grid is coarser by an integer factor that
+divides its local states exactly.  Witness walks move one block at a time
+on the whole grid, and the core of :func:`walk_from_points` re-derives
+each step and builds each point once.  A 2-connected graph is one block.
+The depth and state caps bound the whole query and ``tree_cap`` each
+block.  Each query checks the cost vector's length on entry.
 
 Both distances and both diameters run one breadth-first search
 (:func:`_search`) over a block's space; only the space depends on the
@@ -56,6 +56,8 @@ from .model import (
     Point,
     VertexSet,
     _NO_VERTEX,
+    _check_vertices,
+    _join,
     _pivot_search,
     blocks,
     check_costs,
@@ -64,7 +66,7 @@ from .model import (
     enumerate_vertices,
     join_points,
 )
-from .walks import Walk, walk_from_points
+from .walks import Walk, _walk_from_states
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -118,6 +120,8 @@ class _ScaledInstance(Grid):
         # runs from 4·|V| directions up, which keeps 4-node blocks (at most
         # 14 directions) on the one-step test.
         self.two_layers = len(self.directions) >= 4 * graph.node_count
+
+    from_grid = to_grid = staticmethod(lambda state: state)  # grid states are search states
 
     def neighbors(self, state: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The destination state of every applicable direction."""
@@ -290,16 +294,20 @@ def _scaled_instance(graph: Digraph, costs: CostVector) -> _ScaledInstance:
 @dataclass(frozen=True)
 class _Skeleton:
     """The polyhedron's skeleton: the edge search's space, whose states are
-    vertex indices."""
+    vertex indices.  ``states`` and ``index``, from the pivot search, map
+    them to the vertices' states on the grid of ``scale`` and back."""
 
     vertex_set: VertexSet
     adjacency: tuple[tuple[int, ...], ...]
+    states: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    scale: int
 
-    def to_state(self, point: Point) -> int:
-        return self.vertex_set.index_of(point)
+    def from_grid(self, state: tuple[int, ...]) -> int:
+        return self.index[state]
 
-    def to_point(self, state: int) -> Point:
-        return self.vertex_set.vertices[state]
+    def to_grid(self, state: int) -> tuple[int, ...]:
+        return self.states[state]
 
     def neighbors(self, state: int) -> tuple[int, ...]:
         return self.adjacency[state]
@@ -315,21 +323,20 @@ class _Skeleton:
         return None
 
 
-def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
-    """The vertex set of one block, which only a negative-cost cycle leaves
-    empty: that raises :class:`InfeasibleInstance`."""
-    vertex_set = enumerate_vertices(graph, costs, tree_cap)
-    if not vertex_set.vertices:
+def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple:
+    """One block's :func:`dualflow.model._pivot_search`; a block without
+    vertices (a negative-cost cycle) raises :class:`InfeasibleInstance`."""
+    found = _pivot_search(graph, costs, tree_cap)
+    if not found[0].vertices:
         raise InfeasibleInstance(_NO_VERTEX)
-    return vertex_set
+    return found
 
 
 @lru_cache(maxsize=64)
 def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
     """The adjacency :func:`dualflow.model._pivot_search` found on the whole
     graph; raises :class:`InfeasibleInstance` for an empty polyhedron."""
-    vertex_set = _vertices(graph, costs, tree_cap)
-    return _Skeleton(vertex_set, _pivot_search(graph, costs, tree_cap)[1])
+    return _Skeleton(*_vertices(graph, costs, tree_cap), Grid(costs).scale)
 
 
 _Space = _ScaledInstance | _Skeleton
@@ -355,7 +362,8 @@ def default_depth_cap(graph: Digraph) -> int:
 @dataclass(frozen=True)
 class _Reach:
     """One search: the depth of each target state, and the search tree
-    that gives a shortest chain on demand."""
+    that gives a shortest chain on demand.  ``lengths`` and ``chain`` speak
+    in the points of a circuit search."""
 
     space: _Space
     parents: dict
@@ -366,10 +374,14 @@ class _Reach:
         return {self.space.to_point(state): d for state, d in self.depths.items()}
 
     def chain(self, target: Point) -> list[Point]:
-        states = [self.space.to_state(target)]
+        return list(map(self.space.to_point, self.path(self.space.to_state(target))))
+
+    def path(self, state) -> list:
+        """The states of a shortest chain from the start to ``state``."""
+        states = [state]
         while self.parents[states[-1]] is not None:
             states.append(self.parents[states[-1]])
-        return [self.space.to_point(state) for state in reversed(states)]
+        return states[::-1]
 
 
 def _search(
@@ -437,19 +449,18 @@ def _search(
 # distances
 
 
-def _walk_through_blocks(
-    node_count: int, parts: Sequence[Block], chains: Sequence[Sequence[Point]]
-) -> list[Point]:
-    """The whole graph's points of a walk that runs each block's chain of
-    local points in turn, moving one block at a time: every other block
-    stays at the end of its chain if it came earlier, else at its start."""
+def _walk_through_blocks(node_count: int, parts: Sequence[Block], chains: Sequence) -> list:
+    """The whole graph's grid states of a walk that runs each block's chain
+    of local states, scaled to that grid, in turn, moving one block at a
+    time: every other block stays at its chain's end if it came earlier,
+    else at its start."""
     current = [chain[0] for chain in chains]
-    points = [join_points(node_count, parts, current)]
+    states = [_join(node_count, parts, current, 0)]
     for index, chain in enumerate(chains):
         for local in chain[1:]:
             current[index] = local
-            points.append(join_points(node_count, parts, current))
-    return points
+            states.append(_join(node_count, parts, current, 0))
+    return states
 
 
 def _distance(
@@ -464,24 +475,23 @@ def _distance(
 ) -> DistanceResult:
     """Shortest walk in the mode, by one search per block; the lengths add.
     The caps bound the whole query: each block's search gets the depth and
-    the states that the earlier blocks left."""
-    check_vertices(graph, costs, source, target)
+    the states that the earlier blocks left.  Runs on the endpoint check's
+    grid states: a block's grid is ``factor`` times coarser."""
+    grid, _, ends = _check_vertices(graph, costs, (source, target))
     parts = blocks(graph)
     chains = []
     depth = states = 0
     for block in parts:
         space = _space(mode, block.graph, block.costs(costs), tree_cap)
-        goal = block.local(target)
-        reach = _search(
-            space, space.to_state(block.local(source)), [space.to_state(goal)],
-            depth_cap, state_cap, (depth, states),
-        )
-        depth += reach.lengths[goal]
+        factor = grid.scale // space.scale
+        start, goal = (space.from_grid(block.local_state(end, factor)) for end in ends)
+        reach = _search(space, start, [goal], depth_cap, state_cap, (depth, states))
+        depth += reach.depths[goal]
         states += len(reach.parents)
-        chains.append(reach.chain(goal))
-    points = _walk_through_blocks(graph.node_count, parts, chains)
-    walk = walk_from_points(graph, costs, points, mode)
-    return DistanceResult(len(points) - 1, walk)
+        chains.append([tuple(factor * x for x in space.to_grid(s)) for s in reach.path(goal)])
+    joined = _walk_through_blocks(graph.node_count, parts, chains)
+    walk = _walk_from_states(graph, grid, joined, mode)
+    return DistanceResult(walk.length, walk)
 
 
 def combinatorial_distance(
@@ -540,9 +550,9 @@ def _diameter(
     search held.  The pair is the first source in vertex order whose
     eccentricity is the diameter, with the last of its farthest vertices in
     vertex order.  The caps and ``spent`` are :func:`_search`'s."""
-    vertices = _vertices(graph, costs, tree_cap).vertices
-    space = _space(mode, graph, costs, tree_cap)
-    states = [space.to_state(vertex) for vertex in vertices]
+    vertex_set, _, grid_states, _ = _vertices(graph, costs, tree_cap)
+    vertices, space = vertex_set.vertices, _space(mode, graph, costs, tree_cap)
+    states = list(map(space.from_grid, grid_states))  # range(len(vertices)) on edges
     best, pair, held = 0, (vertices[0], vertices[0]), 0
     for i, source in enumerate(states):
         others = states[:i] + states[i + 1 :]

@@ -19,13 +19,14 @@ No contracted instance is built: :func:`contract_edge`, :func:`lift_point`
 and :func:`project_point` serve callers that want the face polyhedron
 itself.
 
-:func:`walk_from_points` turns the oracles' witness points into walks by
-re-deriving each step with :func:`dualflow.circuits.step_between`'s rule,
-on a grid.  :func:`validate_walk` is the independent check: it reads every
-verdict off each point's integer slacks, computed from the costs on a scale
-of its own (the lcm of the denominators of the costs and of the walk's
-coordinates), decides each step's circuit itself, and uses neither
-:class:`~dualflow.model.Grid` nor any of the step or circuit code.
+:func:`walk_from_points` turns points into walks by re-deriving each step
+with :func:`dualflow.circuits.step_between`'s rule, on a grid; the oracles
+hand their witness walks' grid states to its core.  :func:`validate_walk`
+is the independent check: it reads every verdict off each point's integer
+slacks, computed from the costs on a scale of its own (the lcm of the
+denominators of the costs and of the walk's coordinates), decides each
+step's circuit itself, and uses neither :class:`~dualflow.model.Grid` nor
+any of the step or circuit code.
 """
 
 from __future__ import annotations
@@ -363,9 +364,15 @@ def walk_from_points(
     does."""
     check_costs(graph, costs)
     grid = Grid(costs, points)
-    states = [Point(grid.to_state(p)) for p in points]
+    states = [grid.to_state(p) for p in points]
     if states and not is_feasible(graph, grid.costs, states[0]):
         raise InfeasiblePoint("the walk's first point is infeasible")
+    return _walk_from_states(graph, grid, states, mode)
+
+
+def _walk_from_states(graph: Digraph, grid: Grid, states: Sequence, mode: str) -> Walk:
+    """:func:`walk_from_points` on its points' grid states, the first one
+    feasible: each step is re-derived there, and each point built once."""
     steps = []
     for before, after in zip(states, states[1:]):
         step = _step_between(graph, grid.costs, before, after, grid.scale)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,7 +18,16 @@ from conftest import (
     random_sub_tournament,
     reference_neighbors,
 )
-from dualflow.model import DEFAULT_TREE_CAP, blocks, component_count, join_points
+from dualflow.circuits import _step_between
+from dualflow.model import (
+    DEFAULT_TREE_CAP,
+    Grid,
+    _join,
+    blocks,
+    check_costs,
+    component_count,
+    join_points,
+)
 from dualflow.oracle import _skeleton, default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
@@ -671,7 +681,9 @@ def whole_graph_vertices(graph, costs) -> dict:
 
 def test_blocks_split_at_the_cut_vertices():
     """Blocks partition the edges, share exactly the nodes whose removal
-    disconnects the graph, and their local coordinates round-trip."""
+    disconnects the graph, and their local coordinates round-trip: a
+    vertex's grid state divides exactly onto each block's own grid, where
+    it is one of the block's vertices."""
     for graph, _ in cut_vertex_instances()[-2:]:
         assert [block.nodes[0] for block in blocks(graph)] == [0, 2, 4, 6]
     for graph, costs in cut_vertex_instances():
@@ -686,9 +698,25 @@ def test_blocks_split_at_the_cut_vertices():
             rest = [(t, h) for t, h in graph.edges if v not in (t, h)]
             split = component_count(graph.node_count, rest) > 2
             assert split == (holders[v] > 1)
+        grid = Grid(costs)
         for vertex in df.enumerate_vertices(graph, costs).vertices:
-            local = [block.local(vertex) for block in parts]
-            assert join_points(graph.node_count, parts, local) == vertex
+            state = grid.to_state(vertex)
+            points, scaled = [], []
+            for block in parts:
+                block_costs = block.costs(costs)
+                block_grid = Grid(block_costs)
+                factor = grid.scale // block_grid.scale
+                local = block.local_state(state, factor)
+                points.append(block_grid.to_point(local))
+                assert points[-1] in df.enumerate_vertices(block.graph, block_costs).vertices
+                scaled.append(tuple(factor * x for x in local))
+                if factor > 1:
+                    off_grid = list(state)
+                    off_grid[block.nodes[-1]] += 1
+                    with pytest.raises(df.InternalInvariant):
+                        block.local_state(off_grid, factor)
+            assert _join(graph.node_count, parts, scaled, 0) == state
+            assert join_points(graph.node_count, parts, points) == vertex
 
 
 def test_decomposed_vertices_match_whole_graph_trees():
@@ -822,16 +850,27 @@ def edge_reference(graph, costs, vertices) -> dict:
     return reference
 
 
+def has_coarser_block(graph, costs) -> bool:
+    """Whether some block's own grid is coarser than the whole graph's, so
+    that the oracles divide its local states by a factor above 1."""
+    scale = Grid(costs).scale
+    return any(Grid(block.costs(costs)).scale < scale for block in blocks(graph))
+
+
 def test_decomposed_circuit_distances_match_whole_graph_search():
+    """Each witness walk is the one :func:`dualflow.walk_from_points`
+    re-derives from its points, step by step."""
     rng = random.Random(67)
-    pairs = 0
+    pairs = coarser = 0
     for graph, costs in cut_vertex_instances():
+        coarser += has_coarser_block(graph, costs)
         vertices = df.enumerate_vertices(graph, costs).vertices
         reference = circuit_reference(graph, costs, vertices)
         for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
             result = df.circuit_distance(graph, costs, source, target)
             assert result.length == reference[source, target]
             assert df.validate_walk(graph, costs, result.walk).valid
+            assert result.walk == df.walk_from_points(graph, costs, result.walk.points, "circuit")
             pairs += 1
         result = df.diameter(graph, costs, "circuit")
         assert result.value == max(reference.values(), default=0)
@@ -840,24 +879,68 @@ def test_decomposed_circuit_distances_match_whole_graph_search():
         else:
             assert result.pair is None
     assert pairs >= 200
+    assert coarser >= 20
 
 
 def test_decomposed_edge_distances_match_geometric_skeleton():
+    """Each witness walk is the one :func:`dualflow.walk_from_points`
+    re-derives from its points, step by step."""
     rng = random.Random(71)
-    pairs = 0
+    pairs = coarser = 0
     for graph, costs in cut_vertex_instances():
+        coarser += has_coarser_block(graph, costs)
         vertices = df.enumerate_vertices(graph, costs).vertices
         reference = edge_reference(graph, costs, vertices)
         for source, target in rng.sample(sorted(reference, key=str), min(8, len(reference))):
             result = df.combinatorial_distance(graph, costs, source, target)
             assert result.length == reference[source, target]
             assert df.validate_walk(graph, costs, result.walk).valid
+            assert result.walk == df.walk_from_points(graph, costs, result.walk.points, "edge")
             pairs += 1
         result = df.diameter(graph, costs, "edge")
         assert result.value == max(reference.values())
         if result.value:
             assert reference[result.pair] == result.value
     assert pairs >= 200
+    assert coarser >= 20
+
+
+@pytest.mark.parametrize(
+    "distance", [df.circuit_distance, df.combinatorial_distance],
+    ids=["circuit_distance", "combinatorial_distance"],
+)
+def test_distance_converts_each_point_once(monkeypatch, distance, near_vertex, far_vertex):
+    """A distance runs on the endpoint check's grid states from start to
+    finish.  On gk(2) near -> far (two blocks, distance 8), with the
+    per-block caches warm, it checks the costs once, builds each walk point
+    once and re-derives each step once; it looks up no vertex's index by its
+    point and calls no public :func:`dualflow.walk_from_points`."""
+    graph, costs = df.family_gk(2)
+    near, far = (df.Point(p.coords[:1] + p.coords[1:] * 2) for p in (near_vertex, far_vertex))
+    expected = distance(graph, costs, near, far)
+    assert expected.length == 8
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for module in ("model", "walks", "oracle"):
+        monkeypatch.setattr(
+            f"dualflow.{module}.check_costs", counting("check_costs", check_costs)
+        )
+    monkeypatch.setattr(Grid, "to_point", counting("to_point", Grid.to_point))
+    monkeypatch.setattr(
+        "dualflow.walks._step_between", counting("_step_between", _step_between)
+    )
+    monkeypatch.setattr(df.VertexSet, "index_of", counting("index_of", df.VertexSet.index_of))
+    walk_from_points = counting("walk_from_points", df.walk_from_points)
+    monkeypatch.setattr("dualflow.walks.walk_from_points", walk_from_points)
+    monkeypatch.setattr("dualflow.oracle.walk_from_points", walk_from_points, raising=False)
+    assert distance(graph, costs, near, far) == expected
+    assert dict(calls) == {"check_costs": 1, "to_point": 8 + 1, "_step_between": 8}
 
 
 def rule_pair(vertices, reference):
