@@ -154,10 +154,6 @@ class Block:
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def costs(self, costs: Sequence[Fraction]) -> CostVector:
-        """The block's edge costs, as a tuple that the caches can key on."""
-        return tuple(costs[i] for i in self.edges)
-
     def local_state(self, state: Sequence[int], factor: int) -> tuple[int, ...]:
         """The block's local coordinates of a grid state of the whole graph,
         on the block's own grid, which is ``factor`` times coarser."""
@@ -739,71 +735,138 @@ class VertexSet:
 def enumerate_vertices(
     graph: Digraph, costs: Sequence[Fraction], tree_cap: int = DEFAULT_TREE_CAP
 ) -> VertexSet:
-    """Every vertex, sorted by coordinates.  Results are cached per instance
-    and cap.
+    """Every vertex, sorted by coordinates.  Results are cached per instance.
 
     The vertices are the product of the blocks' (see :func:`blocks`), each
-    found by :func:`_pivot_search`; a tree witness is the union of one per
-    block.  ``tree_cap`` bounds the product of the blocks' spanning tree
+    found by :attr:`_Instance.skeleton`; a tree witness is the union of one
+    per block.  ``tree_cap`` bounds the product of the blocks' spanning tree
     counts, taken by the matrix-tree theorem before any search."""
     check_costs(graph, costs)
-    return _vertex_set(graph, tuple(costs), tree_cap)
+    instance = _instance(graph, tuple(costs))
+    _check_tree_cap(instance.tree_count, tree_cap)
+    return instance.vertex_set
 
 
-@lru_cache(maxsize=64)
-def _vertex_set(graph: Digraph, costs: CostVector, tree_cap: int) -> VertexSet:
-    """The blocks' vertices, joined and sorted on the whole graph's grid."""
-    parts = blocks(graph)
-    if len(parts) == 1:
-        return _pivot_search(graph, costs, tree_cap)[0]
-    _check_tree_cap(math.prod(count_spanning_trees(b.graph) for b in parts), tree_cap)
-    grid = Grid(costs)
-    factors = []
-    for block in parts:
-        found = _pivot_search(block.graph, block.costs(costs), tree_cap)[0]
-        factors.append([
-            (grid.to_state(vertex), [frozenset(block.edges[i] for i in t) for t in trees])
-            for vertex, trees in zip(found.vertices, found.tree_witnesses)
-        ])
-    joined = []
-    for choice in itertools.product(*factors):
-        states, trees = zip(*choice)
-        unions = itertools.starmap(frozenset().union, itertools.product(*trees))
-        joined.append((_join(graph.node_count, parts, states, 0), tuple(unions)))
-    joined.sort()  # the states are distinct, so the witnesses are never compared
-    return VertexSet(tuple(grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined))
+@dataclass(frozen=True)
+class _Skeleton:
+    """The polyhedron's skeleton: the edge search's space, whose states are
+    vertex indices.  ``states`` and ``index``, from the pivot search, map
+    them to the vertices' states on the record's grid and back."""
+
+    vertex_set: VertexSet
+    adjacency: tuple[tuple[int, ...], ...]
+    states: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+
+    def from_grid(self, state: tuple[int, ...]) -> int:
+        return self.index[state]
+
+    def to_grid(self, state: int) -> tuple[int, ...]:
+        return self.states[state]
+
+    def neighbors(self, state: int) -> tuple[int, ...]:
+        return self.adjacency[state]
+
+    def goal_test(
+        self,
+        frontier: Sequence[int],
+        targets: Sequence[int],
+        found: dict,
+        two_fit: bool,
+    ) -> None:
+        """Never tests: a vertex has as many neighbours to expand as to test."""
+        return None
 
 
-@lru_cache(maxsize=64)
-def _pivot_search(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple:
-    """The sorted vertices with their witnesses (their tight graphs' spanning
-    trees), each one's skeleton neighbours, ascending, their grid states and
-    each state's index, by breadth-first search along pivots on the grid
-    (after Avis and Fukuda, 1992).  Each distinct pivot (:func:`_pivots`)
-    moves once.  A witness spanning both parts of two adjacent vertices'
-    common tight set pivots along their edge."""
-    _check_tree_cap(count_spanning_trees(graph), tree_cap)
-    grid = Grid(costs)
-    n, edges = graph.node_count, graph.edges
-    queue = _first_vertex(graph, grid.costs)
-    witnesses, neighbours = {}, {state: [] for state in queue}
-    for state in queue:
-        slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
-        tight = [i for i, s in enumerate(slacks) if not s]
-        trees = [frozenset(tight)] if len(tight) == n - 1 else list(_tree_search(graph, tight))
-        witnesses[state] = tuple(trees)
-        for members, sign in _pivots(graph, tight, trees):
-            target = _move(state, slacks, edges, members, sign)
-            if target:
-                neighbours[state].append(target)
-                if target not in neighbours:
-                    neighbours[target] = []
-                    queue.append(target)
-    states = tuple(sorted(queue))
-    index = {state: k for k, state in enumerate(states)}
-    vertex_set = VertexSet(tuple(map(grid.to_point, states)), tuple(map(witnesses.get, states)))
-    adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
-    return vertex_set, adjacency, states, index
+class _Instance:
+    """A checked instance's record, one per instance (:func:`_instance`):
+    each part is computed on first use and kept.  It holds no search state
+    and no cap; each call compares its ``tree_cap`` with :attr:`tree_count`."""
+
+    def __init__(self, graph: Digraph, costs: CostVector):
+        self.graph, self.costs = graph, costs
+
+    @cached_property
+    def grid(self) -> Grid:
+        return Grid(self.costs)
+
+    @cached_property
+    def tree_count(self) -> int:
+        """The matrix-tree count, which is the product of the blocks'."""
+        return count_spanning_trees(self.graph)
+
+    @cached_property
+    def _blocks(self) -> tuple[_Instance, ...]:
+        """The blocks' records, each looked up once, so that identical
+        blocks share one; () for a 2-connected graph."""
+        found = blocks(self.graph)
+        if len(found) == 1:
+            return ()
+        return tuple(_instance(b.graph, tuple(self.costs[i] for i in b.edges)) for b in found)
+
+    @property
+    def parts(self) -> tuple[_Instance, ...]:
+        """Each block's record; a 2-connected graph's is itself, kept out of
+        :attr:`_blocks` so that no record refers to itself."""
+        return self._blocks or (self,)
+
+    @cached_property
+    def vertex_set(self) -> VertexSet:
+        """Every vertex, sorted: a 2-connected graph's from its pivot
+        search, else the blocks' joined on the whole graph's grid."""
+        if not self._blocks:
+            return self.skeleton.vertex_set
+        parts = blocks(self.graph)
+        factors = []
+        for block, part in zip(parts, self._blocks):
+            factor = self.grid.scale // part.grid.scale
+            edges, found = block.edges, part.skeleton
+            factors.append([
+                (tuple(factor * x for x in s), [frozenset(edges[i] for i in t) for t in trees])
+                for s, trees in zip(found.states, found.vertex_set.tree_witnesses)
+            ])
+        joined = []
+        for choice in itertools.product(*factors):
+            states, trees = zip(*choice)
+            unions = itertools.starmap(frozenset().union, itertools.product(*trees))
+            joined.append((_join(self.graph.node_count, parts, states, 0), tuple(unions)))
+        joined.sort()  # the states are distinct, so the witnesses are never compared
+        return VertexSet(
+            tuple(self.grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined)
+        )
+
+    @cached_property
+    def skeleton(self) -> _Skeleton:
+        """The whole graph's vertices, witnesses (their tight graphs'
+        spanning trees) and skeleton, by breadth-first search along pivots
+        on the grid (after Avis and Fukuda, 1992).  Each distinct pivot
+        (:func:`_pivots`) moves once.  A witness spanning both parts of two
+        adjacent vertices' common tight set pivots along their edge."""
+        graph, grid = self.graph, self.grid
+        n, edges = graph.node_count, graph.edges
+        queue = _first_vertex(graph, grid.costs)
+        witnesses, neighbours = {}, {state: [] for state in queue}
+        for state in queue:
+            slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
+            tight = [i for i, s in enumerate(slacks) if not s]
+            trees = [frozenset(tight)] if len(tight) == n - 1 else list(_tree_search(graph, tight))
+            witnesses[state] = tuple(trees)
+            for members, sign in _pivots(graph, tight, trees):
+                target = _move(state, slacks, edges, members, sign)
+                if target:
+                    neighbours[state].append(target)
+                    if target not in neighbours:
+                        neighbours[target] = []
+                        queue.append(target)
+        states = tuple(sorted(queue))
+        index = {state: k for k, state in enumerate(states)}
+        vertex_set = VertexSet(tuple(map(grid.to_point, states)), tuple(map(witnesses.get, states)))
+        adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
+        return _Skeleton(vertex_set, adjacency, states, index)
+
+
+# The one cache keyed on costs: callers pass costs that check_costs passed.
+_instance = lru_cache(maxsize=64)(_Instance)
 
 
 def _first_vertex(graph: Digraph, costs: Sequence[int]) -> list[tuple[int, ...]]:

@@ -11,12 +11,13 @@ divides its local states exactly.  Witness walks move one block at a time
 on the whole grid, and the core of :func:`walk_from_points` re-derives
 each step and builds each point once.  A 2-connected graph is one block.
 The depth and state caps bound the whole query and ``tree_cap`` each
-block.  Each query checks the cost vector's length on entry.
+block.  Each query checks the cost vector's length on entry and reads
+each block's grid, tree count and skeleton from its instance's record.
 
 Both distances and both diameters run one breadth-first search
 (:func:`_search`) over a block's space; only the space depends on the
 mode.  Edge walks search the skeleton, whose states are vertex indices.
-Circuit walks search the instance's integer view,
+Circuit walks search the block's integer view,
 :class:`dualflow.model.Grid` (all coordinates are multiples of 1/L where L
 is the lcm of the cost denominators), which keeps the states hashable and
 the arithmetic cheap without leaving exact arithmetic.  Its directions and
@@ -54,11 +55,13 @@ from .model import (
     Digraph,
     Grid,
     Point,
-    VertexSet,
+    _Instance,
     _NO_VERTEX,
+    _Skeleton,
+    _check_tree_cap,
     _check_vertices,
+    _instance,
     _join,
-    _pivot_search,
     blocks,
     check_costs,
     check_vertices,
@@ -97,29 +100,37 @@ def are_adjacent(graph: Digraph, costs: CostVector, u: Point, v: Point) -> bool:
 # search spaces
 
 
-class _ScaledInstance(Grid):
-    """The instance's :class:`Grid` with its signed circuits: the circuit
-    search's space, whose states are grid points."""
+@lru_cache(maxsize=64)
+def _circuit_table(graph: Digraph) -> tuple:
+    """The graph's half of :class:`_ScaledInstance`, in its attributes'
+    order, cached per graph like :func:`dualflow.circuits.direction_table`."""
+    directions = direction_table(graph)
+    # the two-step test's index of the directions: (bitmask of S, sign)
+    # -> the direction's rank in generation order and its members
+    ranks = {
+        (sum(1 << v for v in members), sign): (rank, members)
+        for rank, (members, sign) in enumerate(directions)
+    }
+    # Testing a frontier state for two steps took 12-15 µs on every block
+    # measured (CPython 3.11, Xeon); expanding it took 5 µs on the
+    # example's 14 directions, 14 µs on bipartite 3x3's 42 and 37 µs on
+    # 3x4's 91.  A hit also spares the layer after, so the two-step scan
+    # runs from 4·|V| directions up, which keeps 4-node blocks (at most
+    # 14 directions) on the one-step test.
+    two_layers = len(directions) >= 4 * graph.node_count
+    free_nodes = (1 << graph.node_count) - 2  # every node but the anchor
+    tails, heads = [e[0] for e in graph.edges], [e[1] for e in graph.edges]
+    return tails, heads, directions, ranks, free_nodes, two_layers
 
-    def __init__(self, graph: Digraph, costs: CostVector):
-        super().__init__(costs)
-        self.tails = [e[0] for e in graph.edges]
-        self.heads = [e[1] for e in graph.edges]
-        self.directions = direction_table(graph)
-        # the two-step test's index of the directions: (bitmask of S, sign)
-        # -> the direction's rank in generation order and its members
-        self.ranks = {
-            (sum(1 << v for v in members), sign): (rank, members)
-            for rank, (members, sign) in enumerate(self.directions)
-        }
-        self.free_nodes = (1 << graph.node_count) - 2  # every node but the anchor
-        # Testing a frontier state for two steps took 12-15 µs on every block
-        # measured (CPython 3.11, Xeon); expanding it took 5 µs on the
-        # example's 14 directions, 14 µs on bipartite 3x3's 42 and 37 µs on
-        # 3x4's 91.  A hit also spares the layer after, so the two-step scan
-        # runs from 4·|V| directions up, which keeps 4-node blocks (at most
-        # 14 directions) on the one-step test.
-        self.two_layers = len(self.directions) >= 4 * graph.node_count
+
+class _ScaledInstance:
+    """A block's signed circuits on its record's :class:`Grid`: the
+    circuit search's space, whose states are grid points."""
+
+    def __init__(self, graph: Digraph, grid: Grid):
+        self.costs = grid.costs
+        (self.tails, self.heads, self.directions, self.ranks, self.free_nodes,
+         self.two_layers) = _circuit_table(graph)
 
     from_grid = to_grid = staticmethod(lambda state: state)  # grid states are search states
 
@@ -284,70 +295,17 @@ class _ScaledInstance(Grid):
         return chains
 
 
-# Holds each instance's grid and direction table only, never search state,
-# so a circuit query's memory is bounded by the states its search stores.
-@lru_cache(maxsize=64)
-def _scaled_instance(graph: Digraph, costs: CostVector) -> _ScaledInstance:
-    return _ScaledInstance(graph, costs)
-
-
-@dataclass(frozen=True)
-class _Skeleton:
-    """The polyhedron's skeleton: the edge search's space, whose states are
-    vertex indices.  ``states`` and ``index``, from the pivot search, map
-    them to the vertices' states on the grid of ``scale`` and back."""
-
-    vertex_set: VertexSet
-    adjacency: tuple[tuple[int, ...], ...]
-    states: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
-    scale: int
-
-    def from_grid(self, state: tuple[int, ...]) -> int:
-        return self.index[state]
-
-    def to_grid(self, state: int) -> tuple[int, ...]:
-        return self.states[state]
-
-    def neighbors(self, state: int) -> tuple[int, ...]:
-        return self.adjacency[state]
-
-    def goal_test(
-        self,
-        frontier: Sequence[int],
-        targets: Sequence[int],
-        found: dict,
-        two_fit: bool,
-    ) -> None:
-        """Never tests: a vertex has as many neighbours to expand as to test."""
-        return None
-
-
-def _vertices(graph: Digraph, costs: CostVector, tree_cap: int) -> tuple:
-    """One block's :func:`dualflow.model._pivot_search`; a block without
-    vertices (a negative-cost cycle) raises :class:`InfeasibleInstance`."""
-    found = _pivot_search(graph, costs, tree_cap)
-    if not found[0].vertices:
-        raise InfeasibleInstance(_NO_VERTEX)
-    return found
-
-
-@lru_cache(maxsize=64)
-def _skeleton(graph: Digraph, costs: CostVector, tree_cap: int) -> _Skeleton:
-    """The adjacency :func:`dualflow.model._pivot_search` found on the whole
-    graph; raises :class:`InfeasibleInstance` for an empty polyhedron."""
-    return _Skeleton(*_vertices(graph, costs, tree_cap), Grid(costs).scale)
-
-
 _Space = _ScaledInstance | _Skeleton
 
 
-def _space(mode: str, graph: Digraph, costs: CostVector, tree_cap: int) -> _Space:
-    """One block's search space: its skeleton for edge walks, its grid
-    points and their circuit steps for circuit walks."""
+def _space(mode: str, part: _Instance, tree_cap: int) -> _Space:
+    """One block's search space, from its record: its skeleton for edge
+    walks, within ``tree_cap``, its grid points and their circuit steps for
+    circuit walks."""
     if mode == "edge":
-        return _skeleton(graph, costs, tree_cap)
-    return _scaled_instance(graph, costs)
+        _check_tree_cap(part.tree_count, tree_cap)
+        return part.skeleton
+    return _ScaledInstance(part.graph, part.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +320,10 @@ def default_depth_cap(graph: Digraph) -> int:
 @dataclass(frozen=True)
 class _Reach:
     """One search: the depth of each target state, and the search tree
-    that gives a shortest chain on demand.  ``lengths`` and ``chain`` speak
-    in the points of a circuit search."""
+    that gives a shortest chain on demand."""
 
-    space: _Space
     parents: dict
     depths: dict
-
-    @property
-    def lengths(self) -> dict[Point, int]:
-        return {self.space.to_point(state): d for state, d in self.depths.items()}
-
-    def chain(self, target: Point) -> list[Point]:
-        return list(map(self.space.to_point, self.path(self.space.to_state(target))))
 
     def path(self, state) -> list:
         """The states of a shortest chain from the start to ``state``."""
@@ -442,7 +391,7 @@ def _search(
         frontier = next_frontier
     if len(depths) < len(wanted):
         raise DepthCapExceeded(f"target not reached within depth {depth_cap}")
-    return _Reach(space, parents, depths)
+    return _Reach(parents, depths)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +430,9 @@ def _distance(
     parts = blocks(graph)
     chains = []
     depth = states = 0
-    for block in parts:
-        space = _space(mode, block.graph, block.costs(costs), tree_cap)
-        factor = grid.scale // space.scale
+    for block, part in zip(parts, _instance(graph, tuple(costs)).parts):
+        space = _space(mode, part, tree_cap)
+        factor = grid.scale // part.grid.scale
         start, goal = (space.from_grid(block.local_state(end, factor)) for end in ends)
         reach = _search(space, start, [goal], depth_cap, state_cap, (depth, states))
         depth += reach.depths[goal]
@@ -539,20 +488,24 @@ def circuit_distance(
 
 def _diameter(
     mode: str,
-    graph: Digraph,
-    costs: CostVector,
+    part: _Instance,
     tree_cap: int,
     depth_cap: float,
     state_cap: float,
     spent: tuple[float, float] = (0, 0),
 ) -> tuple[int, tuple[Point, Point], int]:
-    """One block's diameter, the pair attaining it, and the most states one
-    search held.  The pair is the first source in vertex order whose
-    eccentricity is the diameter, with the last of its farthest vertices in
-    vertex order.  The caps and ``spent`` are :func:`_search`'s."""
-    vertex_set, _, grid_states, _ = _vertices(graph, costs, tree_cap)
-    vertices, space = vertex_set.vertices, _space(mode, graph, costs, tree_cap)
-    states = list(map(space.from_grid, grid_states))  # range(len(vertices)) on edges
+    """One block's diameter, from its record, the pair attaining it, and
+    the most states one search held.  The pair is the first source in
+    vertex order whose eccentricity is the diameter, with the last of its
+    farthest vertices in vertex order.  The caps and ``spent`` are
+    :func:`_search`'s; a block without vertices (a negative-cost cycle)
+    raises :class:`InfeasibleInstance`."""
+    _check_tree_cap(part.tree_count, tree_cap)
+    skeleton = part.skeleton
+    if not skeleton.states:
+        raise InfeasibleInstance(_NO_VERTEX)
+    vertices, space = skeleton.vertex_set.vertices, _space(mode, part, tree_cap)
+    states = list(map(space.from_grid, skeleton.states))  # range(len(vertices)) on edges
     best, pair, held = 0, (vertices[0], vertices[0]), 0
     for i, source in enumerate(states):
         others = states[:i] + states[i + 1 :]
@@ -601,10 +554,9 @@ def diameter(
     parts = blocks(graph)
     total = states = 0
     ends = []
-    for block in parts:
+    for part in _instance(graph, tuple(costs)).parts:
         value, pair, held = _diameter(
-            mode, block.graph, block.costs(costs), tree_cap, depth_cap, state_cap,
-            (total, states),
+            mode, part, tree_cap, depth_cap, state_cap, (total, states)
         )
         states += held
         total += value

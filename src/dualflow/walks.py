@@ -550,18 +550,17 @@ def validate_walk(graph: Digraph, costs: CostVector, walk: Walk) -> WalkValidati
     step or circuit code of :mod:`dualflow.circuits` runs here, so the
     check shares no arithmetic with what it checks.
     """
+    check_costs(graph, costs)
     n, edges = graph.node_count, graph.edges
+    denominators = {c.denominator for c in costs}
+    denominators.update(x.denominator for p in walk.points for x in p.coords)
+    scale = math.lcm(1, *denominators)
+    scaled = [c.numerator * (scale // c.denominator) for c in costs]
     states: list[list[int]] = []
     slacks: list[list[int]] = []
     for k, point in enumerate(walk.points):
         if len(point) != n:
             return WalkValidation(False, f"point {k} has the wrong dimension")
-        if not states:
-            check_costs(graph, costs)
-            denominators = {c.denominator for c in costs}
-            denominators.update(x.denominator for p in walk.points for x in p.coords)
-            scale = math.lcm(1, *denominators)
-            scaled = [c.numerator * (scale // c.denominator) for c in costs]
         state = [x.numerator * (scale // x.denominator) for x in point]
         s = [c - state[head] + state[tail] for c, (tail, head) in zip(scaled, edges)]
         if any(x < 0 for x in s):

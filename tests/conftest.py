@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -80,13 +81,21 @@ def reference_spanning_trees(graph: df.Digraph) -> list[frozenset[int]]:
 
 def circuit_search(graph, costs, source, targets, depth_cap, state_cap):
     """The circuit oracle's breadth-first search over one instance's grid
-    points, not split into blocks, from a point to points."""
-    from dualflow.oracle import _scaled_instance, _search
+    points, not split into blocks, from a point to points: each target's
+    depth (``lengths``) and shortest chain (``chain(target)``) in points,
+    and the states it stored (``parents``)."""
+    from dualflow.model import Grid
+    from dualflow.oracle import _ScaledInstance, _search
 
-    space = _scaled_instance(graph, costs)
-    return _search(
-        space, space.to_state(source), [space.to_state(t) for t in targets],
-        depth_cap, state_cap,
+    grid = Grid(costs)
+    reach = _search(
+        _ScaledInstance(graph, grid), grid.to_state(source),
+        [grid.to_state(t) for t in targets], depth_cap, state_cap,
+    )
+    return SimpleNamespace(
+        lengths={grid.to_point(state): d for state, d in reach.depths.items()},
+        chain=lambda target: list(map(grid.to_point, reach.path(grid.to_state(target)))),
+        parents=reach.parents,
     )
 
 

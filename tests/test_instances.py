@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dualflow as df
 from conftest import random_sub_tournament
-from dualflow.model import DEFAULT_TREE_CAP, _pivot_search
+from dualflow.model import DEFAULT_TREE_CAP, _instance
 from dualflow.oracle import DEFAULT_STATE_CAP, _diameter, default_depth_cap
 
 
@@ -150,14 +150,15 @@ def test_glue_is_a_product(seed, sizes, integer_costs):
     )
     count = math.prod(len(df.enumerate_vertices(g, c).vertices) for g, c in parts)
     assert len(df.enumerate_vertices(glued, costs).vertices) == count
-    assert len(_pivot_search(glued, costs, DEFAULT_TREE_CAP)[0].vertices) == count
+    whole_record = _instance(glued, costs)
+    assert len(whole_record.skeleton.vertex_set.vertices) == count
     depth_cap = default_depth_cap(glued)
     whole = {
         "edge": _diameter(
-            "edge", glued, costs, DEFAULT_TREE_CAP, math.inf, math.inf
+            "edge", whole_record, DEFAULT_TREE_CAP, math.inf, math.inf
         )[0],
         "circuit": _diameter(
-            "circuit", glued, costs, DEFAULT_TREE_CAP, depth_cap, DEFAULT_STATE_CAP
+            "circuit", whole_record, DEFAULT_TREE_CAP, depth_cap, DEFAULT_STATE_CAP
         )[0],
     }
     for mode in ("edge", "circuit"):

@@ -153,8 +153,12 @@ def test_builder_rejects_a_float_endpoint(example, far_vertex):
         lambda g, c, a, b: df.circuit_distance(g, c, a, b),
         lambda g, c, a, b: df.enumerate_vertices(g, c),
         lambda g, c, a, b: df.validate_walk(g, c, df.Walk((a,), (), "circuit")),
+        lambda g, c, a, b: df.validate_walk(g, c, df.Walk((df.Point.of(0, 0),), (), "circuit")),
     ],
-    ids=["circuit_walk", "edge_walk", "circuit_distance", "enumerate_vertices", "validate_walk"],
+    ids=[
+        "circuit_walk", "edge_walk", "circuit_distance", "enumerate_vertices", "validate_walk",
+        "validate_walk_wrong_dimension",
+    ],
 )
 def test_a_float_cost_is_a_format_error(call, example, near_vertex, far_vertex):
     graph, costs = example

@@ -18,17 +18,18 @@ from conftest import (
     random_sub_tournament,
     reference_neighbors,
 )
+from dualflow import model
 from dualflow.circuits import _step_between
 from dualflow.model import (
-    DEFAULT_TREE_CAP,
     Grid,
+    _instance,
     _join,
     blocks,
     check_costs,
     component_count,
     join_points,
 )
-from dualflow.oracle import _skeleton, default_depth_cap
+from dualflow.oracle import _ScaledInstance, default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
 WALK_POINTS = [
@@ -215,18 +216,17 @@ def test_scaled_search_matches_public_neighbors():
     """The integer-scaled frontier expansion used by the distance search
     gives the steps of the definition (``reference_neighbors``), in order,
     state by state."""
-    from dualflow.oracle import _scaled_instance
-
     rng = random.Random(97)
     for _ in range(15):
         graph, costs = random_sub_tournament(rng, rng.randint(3, 5))
-        scaled = _scaled_instance(graph, costs)
+        grid = Grid(costs)
+        scaled = _ScaledInstance(graph, grid)
         for vertex in df.enumerate_vertices(graph, costs).vertices:
             public = [
                 (point, [(s_set, sign, length)])
                 for point, s_set, sign, length, _ in reference_neighbors(graph, costs, vertex)
             ]
-            state = scaled.to_state(vertex)
+            state = grid.to_state(vertex)
             fast = []
             for target in scaled.neighbors(state):
                 # the destination alone gives S, the sign and the step length
@@ -235,13 +235,13 @@ def test_scaled_search_matches_public_neighbors():
                 assert len(delta) == 1
                 delta = delta.pop()
                 fast.append((
-                    scaled.to_point(target),
-                    [(moved, 1 if delta > 0 else -1, Fraction(abs(delta), scaled.scale))],
+                    grid.to_point(target),
+                    [(moved, 1 if delta > 0 else -1, Fraction(abs(delta), grid.scale))],
                 ))
             assert fast == public
-    off_grid = Fraction(1, scaled.scale + 1)
+    off_grid = Fraction(1, grid.scale + 1)
     with pytest.raises(df.InternalInvariant):
-        scaled.to_state(df.Point.of(0, off_grid, *[0] * (graph.node_count - 2)))
+        grid.to_state(df.Point.of(0, off_grid, *[0] * (graph.node_count - 2)))
 
 
 def reference_search(graph, costs, source, targets):
@@ -277,8 +277,6 @@ def test_goal_tested_search_matches_full_expansion(monkeypatch):
     two steps away.  On instances with at least 4·|V| directions the
     two-step test fires, and a search capped one below a target's depth
     raises: no two-step hit lands past the cap."""
-    from dualflow.oracle import _ScaledInstance, _scaled_instance
-
     hits = []
     two_step = _ScaledInstance.two_step
 
@@ -312,9 +310,10 @@ def test_goal_tested_search_matches_full_expansion(monkeypatch):
             assert reach.lengths == lengths
             for target in targets:
                 assert reach.chain(target) == chains[target]
-        scaled = _scaled_instance(graph, costs)
+        grid = Grid(costs)
+        scaled = _ScaledInstance(graph, grid)
         for point in rng.sample(sorted(parents, key=str), min(6, len(parents))):
-            state = scaled.to_state(point)
+            state = grid.to_state(point)
             near = set(scaled.neighbors(state))
             two_away = {s for n in near for s in scaled.neighbors(n)} - near - {state}
             assert not scaled.one_step(state, state)
@@ -331,7 +330,7 @@ def test_goal_tested_search_matches_full_expansion(monkeypatch):
         for integer_costs in (False, True)
     ]
     for graph, costs in gated:
-        assert len(_scaled_instance(graph, costs).directions) >= 4 * graph.node_count
+        assert len(_ScaledInstance(graph, Grid(costs)).directions) >= 4 * graph.node_count
         vertices = df.enumerate_vertices(graph, costs).vertices
         source = rng.choice(vertices)
         others = [v for v in vertices if v != source]
@@ -368,8 +367,6 @@ def test_two_step_test_matches_brute_force():
     N(x), with ``neighbors`` as the reference, and returns the first state
     z of N(x), in generation order, that has t in N(z).  Every case of the
     rule is hit: δ₁ = δ₂, δ₁ = −δ₂, S₁ ⊊ S₂ and S₂ ⊊ S₁."""
-    from dualflow.oracle import _scaled_instance
-
     rng = random.Random(103)
     instances = [
         df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
@@ -381,8 +378,9 @@ def test_two_step_test_matches_brute_force():
         )
     cases = dict.fromkeys(("equal", "opposite", "S1 in S2", "S2 in S1"), 0)
     for graph, costs in instances:
-        scaled = _scaled_instance(graph, costs)
-        vertex = scaled.to_state(rng.choice(df.enumerate_vertices(graph, costs).vertices))
+        grid = Grid(costs)
+        scaled = _ScaledInstance(graph, grid)
+        vertex = grid.to_state(rng.choice(df.enumerate_vertices(graph, costs).vertices))
         near = list(dict.fromkeys(scaled.neighbors(vertex)))
         pool = set(near) | {s for n in near for s in scaled.neighbors(n)} | {vertex}
         for state in [vertex] + rng.sample(sorted(pool), min(3, len(pool))):
@@ -703,7 +701,7 @@ def test_blocks_split_at_the_cut_vertices():
             state = grid.to_state(vertex)
             points, scaled = [], []
             for block in parts:
-                block_costs = block.costs(costs)
+                block_costs = tuple(costs[i] for i in block.edges)
                 block_grid = Grid(block_costs)
                 factor = grid.scale // block_grid.scale
                 local = block.local_state(state, factor)
@@ -783,6 +781,34 @@ def test_tree_cap_counts_every_spanning_tree():
     assert len(df.enumerate_vertices(graph, costs, tree_cap=51).vertices) == 14
 
 
+def test_tree_caps_hold_on_a_warm_record(example, near_vertex, far_vertex):
+    """The record keeps the spanning tree count, not a cap: once every
+    capped call has answered at the default cap, a smaller cap still
+    raises, naming the cap as passed, and the smallest cap that holds
+    answers the same.  The vertex set's cap bounds the product of the
+    blocks' counts (gk(2): 51 * 51), the other calls' each block's."""
+    graph, costs = example
+    calls = [
+        lambda cap: df.enumerate_vertices(graph, costs, tree_cap=cap),
+        lambda cap: df.degeneracy_report(graph, costs, tree_cap=cap),
+        lambda cap: df.combinatorial_distance(graph, costs, near_vertex, far_vertex, tree_cap=cap),
+        lambda cap: df.diameter(graph, costs, "edge", tree_cap=cap),
+        lambda cap: df.diameter(graph, costs, "circuit", tree_cap=cap),
+    ]
+    for call in calls:
+        expected = call(10**6)
+        with pytest.raises(df.InstanceTooLarge, match="^51 spanning trees exceed cap 50$"):
+            call(50)
+        assert call(51) == expected
+    graph, costs = df.family_gk(2)
+    expected = df.enumerate_vertices(graph, costs)
+    with pytest.raises(df.InstanceTooLarge, match="^2601 spanning trees exceed cap 2600$"):
+        df.enumerate_vertices(graph, costs, tree_cap=2600)
+    assert df.enumerate_vertices(graph, costs, tree_cap=2601) == expected
+    near, far = gk_pair(2)
+    assert df.combinatorial_distance(graph, costs, near, far, tree_cap=51).length == 8
+
+
 def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
     """The adjacency that the vertex solve's pivot search finds is the
     rank-based adjacency over every vertex pair, on degenerate instances
@@ -795,9 +821,8 @@ def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
     )
     degenerate = 0
     for graph, costs in biconnected_instances():
-        try:
-            skeleton = _skeleton(graph, tuple(costs), DEFAULT_TREE_CAP)
-        except df.InfeasibleInstance:
+        skeleton = _instance(graph, tuple(costs)).skeleton
+        if not skeleton.states:
             assert not df.feasibility_status(graph, costs).feasible
             continue
         vertices = skeleton.vertex_set.vertices
@@ -854,7 +879,7 @@ def has_coarser_block(graph, costs) -> bool:
     """Whether some block's own grid is coarser than the whole graph's, so
     that the oracles divide its local states by a factor above 1."""
     scale = Grid(costs).scale
-    return any(Grid(block.costs(costs)).scale < scale for block in blocks(graph))
+    return any(Grid([costs[i] for i in block.edges]).scale < scale for block in blocks(graph))
 
 
 def test_decomposed_circuit_distances_match_whole_graph_search():
@@ -912,7 +937,7 @@ def test_decomposed_edge_distances_match_geometric_skeleton():
 def test_distance_converts_each_point_once(monkeypatch, distance, near_vertex, far_vertex):
     """A distance runs on the endpoint check's grid states from start to
     finish.  On gk(2) near -> far (two blocks, distance 8), with the
-    per-block caches warm, it checks the costs once, builds each walk point
+    instance's record warm, it checks the costs once, builds each walk point
     once and re-derives each step once; it looks up no vertex's index by its
     point and calls no public :func:`dualflow.walk_from_points`."""
     graph, costs = df.family_gk(2)
@@ -941,6 +966,69 @@ def test_distance_converts_each_point_once(monkeypatch, distance, near_vertex, f
     monkeypatch.setattr("dualflow.oracle.walk_from_points", walk_from_points, raising=False)
     assert distance(graph, costs, near, far) == expected
     assert dict(calls) == {"check_costs": 1, "to_point": 8 + 1, "_step_between": 8}
+
+
+def test_each_call_looks_up_one_record(monkeypatch, near_vertex, far_vertex):
+    """gk(2)'s two blocks are identical, so they share one record, whose
+    pivot search runs once for every oracle; a circuit distance on a cold
+    record runs neither the pivot search nor the tree count.  With the
+    record warm, each oracle call checks the costs once and makes one
+    lookup in the record cache, and each walk builder checks the costs
+    once."""
+    graph, costs = df.family_gk(2)
+    near, far = gk_pair(2)
+    searches, counts, checks = [], [], []
+
+    def first_vertex(*args):
+        searches.append(args[0])
+        return first_vertex.original(*args)
+
+    def count_trees(graph):
+        counts.append(graph)
+        return count_trees.original(graph)
+
+    def counted_check(*args):
+        checks.append(args[0])
+        return check_costs(*args)
+
+    first_vertex.original = model._first_vertex
+    count_trees.original = model.count_spanning_trees
+    monkeypatch.setattr(model, "_first_vertex", first_vertex)
+    monkeypatch.setattr(model, "count_spanning_trees", count_trees)
+    _instance.cache_clear()
+    assert df.circuit_distance(graph, costs, near, far).length == 8
+    assert searches == counts == []
+    oracles = [
+        lambda: df.enumerate_vertices(graph, costs),
+        lambda: df.degeneracy_report(graph, costs),
+        lambda: df.combinatorial_distance(graph, costs, near, far),
+        lambda: df.circuit_distance(graph, costs, near, far),
+        lambda: df.diameter(graph, costs, "edge"),
+        lambda: df.diameter(graph, costs, "circuit"),
+    ]
+    builders = [
+        lambda: df.edge_walk(graph, costs, near, far),
+        lambda: df.circuit_walk(graph, costs, near, far),
+    ]
+    answers = [oracle() for oracle in oracles]
+    walks = [builder() for builder in builders]
+    block, other = _instance(graph, costs).parts
+    assert block is other
+    assert searches == [block.graph]
+    for module in ("model", "walks", "oracle"):
+        monkeypatch.setattr(f"dualflow.{module}.check_costs", counted_check)
+    for oracle, answer in zip(oracles, answers):
+        checks.clear()
+        before = _instance.cache_info()
+        assert oracle() == answer
+        after = _instance.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+        assert len(checks) == 1
+    assert searches == [block.graph]
+    for builder, walk in zip(builders, walks):
+        checks.clear()
+        assert builder() == walk
+        assert len(checks) == 1
 
 
 def rule_pair(vertices, reference):
@@ -1088,8 +1176,9 @@ def test_bipartite_4x4_circuit_distance_within_default_caps():
 
 
 def test_circuit_diameter_keeps_no_search_state():
-    """Between queries the caches hold only each block's grid and direction
-    table, whose size depends on the instance: traced memory grows by less
+    """Between queries the caches hold only each instance's record (its
+    grid, tree count, blocks and pivot search) and each graph's direction
+    table, whose sizes depend on the instance: traced memory grows by less
     than 1 MiB across a circuit diameter, however many states its searches
     stored."""
     tracemalloc.start()
