@@ -32,7 +32,6 @@ from .model import (
     component_count,
     is_feasible,
     shift_point,
-    slack,
 )
 
 
@@ -172,7 +171,8 @@ def _max_step(
     """:func:`max_step` for callers that already hold a valid circuit, a
     sign of +1 or -1, a feasible point of this instance and the edges that
     block the signed circuit."""
-    slacks = {i: slack(graph, costs, point, i) for i in blocking}
+    edges = graph.edges
+    slacks = {i: costs[i] - point[edges[i][1]] + point[edges[i][0]] for i in blocking}
     if not slacks:
         raise UnboundedDirection("no edge bounds this direction")
     epsilon = min(slacks.values())

@@ -154,16 +154,7 @@ class Block:
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def local_state(self, state: Sequence[int], factor: int) -> tuple[int, ...]:
-        """The block's local coordinates of a grid state of the whole graph,
-        on the block's own grid, which is ``factor`` times coarser."""
-        local = [divmod(state[v] - state[self.nodes[0]], factor) for v in self.nodes]
-        if any(rest for _, rest in local):
-            raise InternalInvariant("a vertex is not on its block's grid")
-        return tuple(quotient for quotient, _ in local)
 
-
-@lru_cache(maxsize=256)
 def blocks(graph: Digraph) -> tuple[Block, ...]:
     """The biconnected blocks, found by an iterative Hopcroft-Tarjan depth-first
     search from node 0, in the order the search entered them, so that each
@@ -220,25 +211,6 @@ def blocks(graph: Digraph) -> tuple[Block, ...]:
         )
         result.append(Block(block_graph, tuple(members), tuple(edge_ids)))
     return tuple(block for _, block in sorted(zip(entered, result)))
-
-
-def join_points(
-    node_count: int, parts: Sequence[Block], points: Sequence[Point]
-) -> Point:
-    """The point of the whole graph whose block-local parts are ``points``:
-    each block node sits at its anchor's coordinate plus its local one.
-    ``parts`` come in :func:`blocks` order, which sets every anchor before
-    its block."""
-    return Point(_join(node_count, parts, [point.coords for point in points], Fraction(0)))
-
-
-def _join(node_count: int, parts: Sequence[Block], locals_: Sequence[Sequence], zero) -> tuple:
-    coords = [zero] * node_count
-    for block, local in zip(parts, locals_):
-        base = coords[block.nodes[0]]
-        for v, x in zip(block.nodes[1:], local[1:]):
-            coords[v] = base + x
-    return tuple(coords)
 
 
 @lru_cache(maxsize=256)
@@ -456,6 +428,8 @@ def slack(
     graph: Digraph, costs: Sequence[Fraction], point: Point, edge_index: int
 ) -> Fraction:
     """Slack of one edge inequality: ``cost - (u_head - u_tail)``."""
+    check_costs(graph, costs)
+    _check_dimension(graph, point)
     if not 0 <= edge_index < len(graph.edges):
         raise EdgeMissing(f"edge index {edge_index} out of range")
     tail, head = graph.edges[edge_index]
@@ -588,24 +562,25 @@ def check_vertices(
     set.  A wrong length raises :class:`DimensionMismatch`, an infeasible
     point :class:`InfeasiblePoint` naming its first violated edge (or
     :class:`InfeasibleInstance` when the polyhedron is empty) and a feasible
-    non-vertex :class:`NotAVertex`.
-    Runs on a :class:`Grid` fine enough for the points too."""
-    return _check_vertices(graph, costs, points)[1]
+    non-vertex :class:`NotAVertex`."""
+    check_costs(graph, costs)
+    return _check_vertices(graph, costs, Grid(costs), points)[0]
 
 
 def _check_vertices(
-    graph: Digraph, costs: Sequence[Fraction], points: Sequence[Point]
-) -> tuple[Grid, list[TightEdgeSet], list[tuple[int, ...]]]:
-    """:func:`check_vertices`, also returning its grid and each point's
-    state on it.  Vertices lie on the costs' grid, so the grid is the
-    costs' own once the check passes."""
-    check_costs(graph, costs)
-    grid = Grid(costs, points)
+    graph: Digraph, costs: Sequence[Fraction], grid: Grid, points: Sequence[Point]
+) -> tuple[list[TightEdgeSet], list[tuple[int, ...]]]:
+    """:func:`check_vertices` on the costs' checked ``grid``, also returning
+    each point's state on it.  A vertex solves tight edges, so it lies on
+    that grid; a point off it, which therefore fails, is judged on a grid
+    widened for that point alone."""
     tights, states = [], []
     for point in points:
         _check_dimension(graph, point)
-        state = grid.to_state(point)
-        slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, graph.edges)]
+        off_grid = any(grid.scale % c.denominator for c in point)
+        view = Grid(costs, (point,)) if off_grid else grid
+        state = view.to_state(point)
+        slacks = [c - state[h] + state[t] for c, (t, h) in zip(view.costs, graph.edges)]
         if min(slacks, default=0) < 0:
             if not feasibility_status(graph, costs).feasible:
                 raise InfeasibleInstance(_NO_VERTEX)
@@ -613,14 +588,14 @@ def _check_vertices(
             tail, head = graph.edges[i]
             raise InfeasiblePoint(
                 f"{point} is infeasible: edge {i} ({tail} -> {head}) has slack "
-                f"{rational_str(grid.to_rational(slacks[i]))}"
+                f"{rational_str(view.to_rational(slacks[i]))}"
             )
         tight = frozenset(i for i, s in enumerate(slacks) if not s)
         if component_count(graph.node_count, [graph.edges[i] for i in tight]) != 1:
             raise NotAVertex(f"{point} is not a vertex")
         tights.append(tight)
         states.append(state)
-    return grid, tights, states
+    return tights, states
 
 
 # ---------------------------------------------------------------------------
@@ -796,19 +771,49 @@ class _Instance:
         return count_spanning_trees(self.graph)
 
     @cached_property
-    def _blocks(self) -> tuple[_Instance, ...]:
-        """The blocks' records, each looked up once, so that identical
-        blocks share one; () for a 2-connected graph."""
+    def _blocks(self) -> tuple[tuple[Block, _Instance, int], ...]:
+        """Each block, its record, looked up once so that identical blocks
+        share one, and the factor by which its grid is coarser than the
+        whole graph's; () for a 2-connected graph."""
         found = blocks(self.graph)
         if len(found) == 1:
             return ()
-        return tuple(_instance(b.graph, tuple(self.costs[i] for i in b.edges)) for b in found)
+        parts = [(b, _instance(b.graph, tuple(self.costs[i] for i in b.edges))) for b in found]
+        return tuple((b, part, self.grid.scale // part.grid.scale) for b, part in parts)
 
     @property
     def parts(self) -> tuple[_Instance, ...]:
         """Each block's record; a 2-connected graph's is itself, kept out of
         :attr:`_blocks` so that no record refers to itself."""
-        return self._blocks or (self,)
+        return tuple(part for _, part, _ in self._blocks) or (self,)
+
+    def split(self, state: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """Each block's local state, in :attr:`parts` order, of a grid state
+        of the whole graph: its nodes' coordinates minus its anchor's, on
+        the block's own grid."""
+        if not self._blocks:
+            return (tuple(state),)
+        result = []
+        for block, _, factor in self._blocks:
+            base = state[block.nodes[0]]
+            local, rests = zip(*(divmod(state[v] - base, factor) for v in block.nodes))
+            if any(rests):
+                raise InternalInvariant("a vertex is not on its block's grid")
+            result.append(local)
+        return tuple(result)
+
+    def join(self, states: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """The inverse of :meth:`split`: each block node sits at its anchor's
+        coordinate plus its local one, scaled to the whole graph's grid.
+        :func:`blocks` order sets every anchor before its block."""
+        if not self._blocks:
+            return tuple(states[0])
+        coords = [0] * self.graph.node_count
+        for (block, _, factor), local in zip(self._blocks, states):
+            base = coords[block.nodes[0]]
+            for v, x in zip(block.nodes[1:], local[1:]):
+                coords[v] = base + factor * x
+        return tuple(coords)
 
     @cached_property
     def vertex_set(self) -> VertexSet:
@@ -816,20 +821,18 @@ class _Instance:
         search, else the blocks' joined on the whole graph's grid."""
         if not self._blocks:
             return self.skeleton.vertex_set
-        parts = blocks(self.graph)
-        factors = []
-        for block, part in zip(parts, self._blocks):
-            factor = self.grid.scale // part.grid.scale
-            edges, found = block.edges, part.skeleton
-            factors.append([
-                (tuple(factor * x for x in s), [frozenset(edges[i] for i in t) for t in trees])
+        per_block = []
+        for block, part, _ in self._blocks:
+            found = part.skeleton
+            per_block.append([
+                (s, [frozenset(block.edges[i] for i in t) for t in trees])
                 for s, trees in zip(found.states, found.vertex_set.tree_witnesses)
             ])
         joined = []
-        for choice in itertools.product(*factors):
+        for choice in itertools.product(*per_block):
             states, trees = zip(*choice)
             unions = itertools.starmap(frozenset().union, itertools.product(*trees))
-            joined.append((_join(self.graph.node_count, parts, states, 0), tuple(unions)))
+            joined.append((self.join(states), tuple(unions)))
         joined.sort()  # the states are distinct, so the witnesses are never compared
         return VertexSet(
             tuple(self.grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined)

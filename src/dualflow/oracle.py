@@ -5,14 +5,14 @@ Every distance and diameter query is split at the cut vertices (see
 :func:`dualflow.model.blocks`).  The polyhedron is the product of its
 blocks' polyhedra, so the skeleton is the Cartesian product of the blocks'
 skeletons, and every circuit lies inside one block.  Each block is
-searched on its own and the lengths add.  Distances run on the endpoint
-check's grid states; a block's grid is coarser by an integer factor that
-divides its local states exactly.  Witness walks move one block at a time
-on the whole grid, and the core of :func:`walk_from_points` re-derives
-each step and builds each point once.  A 2-connected graph is one block.
-The depth and state caps bound the whole query and ``tree_cap`` each
-block.  Each query checks the cost vector's length on entry and reads
-each block's grid, tree count and skeleton from its instance's record.
+searched on its own and the lengths add.  Each query checks the costs on
+entry and reads the rest from its instance's record (``model._Instance``):
+the grid that the endpoints are checked on, each block's record, and the
+one map between whole and block-local grid states, ``split`` and
+``join``.  Witness walks move one block at a time on the whole grid, and
+the core of :func:`walk_from_points` re-derives each step and builds each
+point once.  A 2-connected graph is one block.  The depth and state caps
+bound the whole query and ``tree_cap`` each block.
 
 Both distances and both diameters run one breadth-first search
 (:func:`_search`) over a block's space; only the space depends on the
@@ -49,7 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    Block,
     CostVector,
     DEFAULT_TREE_CAP,
     Digraph,
@@ -61,13 +60,10 @@ from .model import (
     _check_tree_cap,
     _check_vertices,
     _instance,
-    _join,
-    blocks,
     check_costs,
     check_vertices,
     component_count,
     enumerate_vertices,
-    join_points,
 )
 from .walks import Walk, _walk_from_states
 
@@ -398,17 +394,16 @@ def _search(
 # distances
 
 
-def _walk_through_blocks(node_count: int, parts: Sequence[Block], chains: Sequence) -> list:
+def _walk_through_blocks(instance: _Instance, chains: Sequence) -> list:
     """The whole graph's grid states of a walk that runs each block's chain
-    of local states, scaled to that grid, in turn, moving one block at a
-    time: every other block stays at its chain's end if it came earlier,
-    else at its start."""
+    of local states in turn, moving one block at a time: every other block
+    stays at its chain's end if it came earlier, else at its start."""
     current = [chain[0] for chain in chains]
-    states = [_join(node_count, parts, current, 0)]
+    states = [instance.join(current)]
     for index, chain in enumerate(chains):
         for local in chain[1:]:
             current[index] = local
-            states.append(_join(node_count, parts, current, 0))
+            states.append(instance.join(current))
     return states
 
 
@@ -424,22 +419,23 @@ def _distance(
 ) -> DistanceResult:
     """Shortest walk in the mode, by one search per block; the lengths add.
     The caps bound the whole query: each block's search gets the depth and
-    the states that the earlier blocks left.  Runs on the endpoint check's
-    grid states: a block's grid is ``factor`` times coarser."""
-    grid, _, ends = _check_vertices(graph, costs, (source, target))
-    parts = blocks(graph)
+    the states that the earlier blocks left.  Runs on the record's grid
+    from start to finish: the endpoint check's states are split into the
+    blocks' local states, and the blocks' chains are joined back."""
+    check_costs(graph, costs)
+    instance = _instance(graph, tuple(costs))
+    _, ends = _check_vertices(graph, costs, instance.grid, (source, target))
     chains = []
     depth = states = 0
-    for block, part in zip(parts, _instance(graph, tuple(costs)).parts):
+    starts, goals = map(instance.split, ends)
+    for part, start, goal in zip(instance.parts, starts, goals):
         space = _space(mode, part, tree_cap)
-        factor = grid.scale // part.grid.scale
-        start, goal = (space.from_grid(block.local_state(end, factor)) for end in ends)
+        start, goal = space.from_grid(start), space.from_grid(goal)
         reach = _search(space, start, [goal], depth_cap, state_cap, (depth, states))
         depth += reach.depths[goal]
         states += len(reach.parents)
-        chains.append([tuple(factor * x for x in space.to_grid(s)) for s in reach.path(goal)])
-    joined = _walk_through_blocks(graph.node_count, parts, chains)
-    walk = _walk_from_states(graph, grid, joined, mode)
+        chains.append(list(map(space.to_grid, reach.path(goal))))
+    walk = _walk_from_states(graph, instance.grid, _walk_through_blocks(instance, chains), mode)
     return DistanceResult(walk.length, walk)
 
 
@@ -493,20 +489,20 @@ def _diameter(
     depth_cap: float,
     state_cap: float,
     spent: tuple[float, float] = (0, 0),
-) -> tuple[int, tuple[Point, Point], int]:
-    """One block's diameter, from its record, the pair attaining it, and
-    the most states one search held.  The pair is the first source in
-    vertex order whose eccentricity is the diameter, with the last of its
-    farthest vertices in vertex order.  The caps and ``spent`` are
-    :func:`_search`'s; a block without vertices (a negative-cost cycle)
-    raises :class:`InfeasibleInstance`."""
+) -> tuple[int, tuple[int, int], int]:
+    """One block's diameter, from its record, the pair of vertex indices
+    attaining it, and the most states one search held.  The pair is the
+    first source in vertex order whose eccentricity is the diameter, with
+    the last of its farthest vertices in vertex order.  The caps and
+    ``spent`` are :func:`_search`'s; a block without vertices (a
+    negative-cost cycle) raises :class:`InfeasibleInstance`."""
     _check_tree_cap(part.tree_count, tree_cap)
     skeleton = part.skeleton
     if not skeleton.states:
         raise InfeasibleInstance(_NO_VERTEX)
-    vertices, space = skeleton.vertex_set.vertices, _space(mode, part, tree_cap)
-    states = list(map(space.from_grid, skeleton.states))  # range(len(vertices)) on edges
-    best, pair, held = 0, (vertices[0], vertices[0]), 0
+    space = _space(mode, part, tree_cap)
+    states = list(map(space.from_grid, skeleton.states))  # range(len(states)) on edges
+    best, pair, held = 0, (0, 0), 0
     for i, source in enumerate(states):
         others = states[:i] + states[i + 1 :]
         if not others:
@@ -518,7 +514,7 @@ def _diameter(
             far = max(
                 j for j, state in enumerate(states) if reach.depths.get(state) == length
             )
-            best, pair = length, (vertices[i], vertices[far])
+            best, pair = length, (i, far)
     return best, pair, held
 
 
@@ -551,18 +547,17 @@ def diameter(
         depth_cap = state_cap = math.inf
     elif depth_cap is None:
         depth_cap = default_depth_cap(graph)
-    parts = blocks(graph)
+    instance = _instance(graph, tuple(costs))
     total = states = 0
     ends = []
-    for part in _instance(graph, tuple(costs)).parts:
+    for part in instance.parts:
         value, pair, held = _diameter(
             mode, part, tree_cap, depth_cap, state_cap, (total, states)
         )
         states += held
         total += value
-        ends.append(pair)
+        ends.append([part.skeleton.states[k] for k in pair])
     if total == 0:
         return DiameterResult(0, None)
-    source = join_points(graph.node_count, parts, [a for a, _ in ends])
-    target = join_points(graph.node_count, parts, [b for _, b in ends])
-    return DiameterResult(total, (source, target))
+    pair = tuple(instance.grid.to_point(instance.join(side)) for side in zip(*ends))
+    return DiameterResult(total, pair)

@@ -6,18 +6,17 @@ edge at a time, stepping until the edge becomes tight and then pinning it,
 so that later steps keep it tight.  Only the step rule depends on the
 mode: pivots for edge walks, insertion partitions for circuit walks.
 
-The builders check their endpoints (:func:`dualflow.model.check_vertices`)
-and walk the original graph on the grid that check built, the instance's
-integer view (:class:`dualflow.model.Grid`).  The step rules take edge
-indices and return node sets; a pinned edge counts as tight in both
-directions, so no step separates its ends, and each step's S is a circuit
-by construction.  The driver keeps one slack per edge and updates it at
-the edges a step's S moves, which :func:`dualflow.circuits.crossing_edges`
-splits into blocking and loosening ones; every step is recorded as it is
-taken, with its length converted to :class:`~fractions.Fraction` once.
-No contracted instance is built: :func:`contract_edge`, :func:`lift_point`
-and :func:`project_point` serve callers that want the face polyhedron
-itself.
+The builders build the instance's integer view (:class:`dualflow.model.Grid`),
+check their endpoints on it (:func:`dualflow.model.check_vertices`) and
+walk the original graph there.  The step rules take edge indices and
+return node sets; a pinned edge counts as tight in both directions, so no
+step separates its ends, and each step's S is a circuit by construction.
+The driver keeps one slack per edge and updates it at the edges a step's S
+moves, which :func:`dualflow.circuits.crossing_edges` splits into blocking
+and loosening ones; every step is recorded as it is taken, with its length
+converted to :class:`~fractions.Fraction` once.  No contracted instance is
+built: :func:`contract_edge`, :func:`lift_point` and :func:`project_point`
+serve callers that want the face polyhedron itself.
 
 :func:`walk_from_points` turns points into walks by re-deriving each step
 with :func:`dualflow.circuits.step_between`'s rule, on a grid; the oracles
@@ -400,9 +399,9 @@ def _insertion_walk(
 ) -> Walk:
     """The walk that inserts each edge of the target's lexicographically
     smallest tight spanning tree in turn, stepping until the edge is tight
-    and then pinning it.  Runs on the grid and the endpoint states that
-    the endpoint check returns; an edge walk's target must carry no extra
-    tight edge.
+    and then pinning it.  Runs on the costs' grid, from the endpoint
+    states that the endpoint check returns on it; an edge walk's target
+    must carry no extra tight edge.
 
     The state is the point and one slack per edge, updated only at the
     edges that cross a step's S.  A class is the nodes joined by pinned
@@ -415,10 +414,10 @@ def _insertion_walk(
     whose reach set must grow every step.  Each step is recorded on the
     original graph as it is taken.
     """
-    grid, (_, target_tight), (source_state, target_state) = _check_vertices(
-        graph, costs, (source, target)
-    )
-    n = graph.node_count
+    check_costs(graph, costs)
+    grid = Grid(costs)
+    tights, (source_state, target_state) = _check_vertices(graph, costs, grid, (source, target))
+    n, target_tight = graph.node_count, tights[1]
     if mode == "edge" and len(target_tight) != n - 1:
         raise DegenerateInstance("target vertex carries extra tight edges")
     if source == target:

@@ -154,10 +154,11 @@ def test_builder_rejects_a_float_endpoint(example, far_vertex):
         lambda g, c, a, b: df.enumerate_vertices(g, c),
         lambda g, c, a, b: df.validate_walk(g, c, df.Walk((a,), (), "circuit")),
         lambda g, c, a, b: df.validate_walk(g, c, df.Walk((df.Point.of(0, 0),), (), "circuit")),
+        lambda g, c, a, b: df.slack(g, c, a, 3),
     ],
     ids=[
         "circuit_walk", "edge_walk", "circuit_distance", "enumerate_vertices", "validate_walk",
-        "validate_walk_wrong_dimension",
+        "validate_walk_wrong_dimension", "slack",
     ],
 )
 def test_a_float_cost_is_a_format_error(call, example, near_vertex, far_vertex):
@@ -528,6 +529,7 @@ def test_rational_results_stay_canonical():
         (lambda g, c: df.Digraph(2, None), df.ValidationError),
         (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), 99), df.EdgeMissing),
         (lambda g, c: df.slack(g, c, df.Point.of(0, 0, 0, 0), -1), df.EdgeMissing),
+        (lambda g, c: df.slack(g, c, df.Point.of(0, 0), 3), df.DimensionMismatch),
         (lambda g, c: df.last_backward_edge(g, {0, 1, 2}, 0, 9), df.ValidationError),
         (lambda g, c: df.random_bipartite_costs(2.0, 2, 1), df.ValidationError),
         (lambda g, c: df.random_bipartite_costs(2, 2, 1, 2.5), df.ValidationError),

@@ -23,11 +23,9 @@ from dualflow.circuits import _step_between
 from dualflow.model import (
     Grid,
     _instance,
-    _join,
     blocks,
     check_costs,
     component_count,
-    join_points,
 )
 from dualflow.oracle import _ScaledInstance, default_depth_cap
 
@@ -696,25 +694,24 @@ def test_blocks_split_at_the_cut_vertices():
             rest = [(t, h) for t, h in graph.edges if v not in (t, h)]
             split = component_count(graph.node_count, rest) > 2
             assert split == (holders[v] > 1)
+        instance = _instance(graph, costs)
         grid = Grid(costs)
         for vertex in df.enumerate_vertices(graph, costs).vertices:
             state = grid.to_state(vertex)
-            points, scaled = [], []
-            for block in parts:
+            locals_ = instance.split(state)
+            for block, local in zip(parts, locals_):
                 block_costs = tuple(costs[i] for i in block.edges)
                 block_grid = Grid(block_costs)
-                factor = grid.scale // block_grid.scale
-                local = block.local_state(state, factor)
-                points.append(block_grid.to_point(local))
-                assert points[-1] in df.enumerate_vertices(block.graph, block_costs).vertices
-                scaled.append(tuple(factor * x for x in local))
-                if factor > 1:
+                assert block_grid.to_point(local) in df.enumerate_vertices(
+                    block.graph, block_costs
+                ).vertices
+                if grid.scale // block_grid.scale > 1:
                     off_grid = list(state)
                     off_grid[block.nodes[-1]] += 1
                     with pytest.raises(df.InternalInvariant):
-                        block.local_state(off_grid, factor)
-            assert _join(graph.node_count, parts, scaled, 0) == state
-            assert join_points(graph.node_count, parts, points) == vertex
+                        instance.split(off_grid)
+            assert instance.join(locals_) == state
+            assert grid.to_point(instance.join(locals_)) == vertex
 
 
 def test_decomposed_vertices_match_whole_graph_trees():
@@ -966,6 +963,60 @@ def test_distance_converts_each_point_once(monkeypatch, distance, near_vertex, f
     monkeypatch.setattr("dualflow.oracle.walk_from_points", walk_from_points, raising=False)
     assert distance(graph, costs, near, far) == expected
     assert dict(calls) == {"check_costs": 1, "to_point": 8 + 1, "_step_between": 8}
+
+
+@pytest.mark.parametrize(
+    "distance", [df.circuit_distance, df.combinatorial_distance],
+    ids=["circuit_distance", "combinatorial_distance"],
+)
+def test_distance_on_a_warm_record_builds_no_grid(monkeypatch, distance):
+    """A distance checks its endpoints on the record's grid: on gk(2),
+    with the record warm, it constructs no :class:`Grid`."""
+    graph, costs = df.family_gk(2)
+    near, far = gk_pair(2)
+    expected = distance(graph, costs, near, far)
+    grids = []
+
+    class CountingGrid(Grid):
+        def __init__(self, *args, **kwargs):
+            grids.append(args)
+            super().__init__(*args, **kwargs)
+
+    for module in ("model", "walks", "oracle"):
+        monkeypatch.setattr(f"dualflow.{module}.Grid", CountingGrid)
+    assert distance(graph, costs, near, far) == expected
+    assert grids == []
+
+
+GK2_BAD_ENDS = [
+    # off the costs' grid (1/9), infeasible in the first block
+    ("0,0,3/2,0,0,0,0", df.InfeasiblePoint,
+     "(0, 0, 3/2, 0, 0, 0, 0) is infeasible: edge 4 (0 -> 2) has slack -1/6"),
+    # off the costs' grid, feasible, not a vertex
+    ("0,1/2,1/2,1/2,0,0,0", df.NotAVertex, "(0, 1/2, 1/2, 1/2, 0, 0, 0) is not a vertex"),
+    # on the grid, infeasible in the second block
+    ("0,0,0,0,0,5,0", df.InfeasiblePoint,
+     "(0, 0, 0, 0, 0, 5, 0) is infeasible: edge 13 (0 -> 5) has slack -11/3"),
+]
+
+
+@pytest.mark.parametrize("point, error, message", GK2_BAD_ENDS)
+@pytest.mark.parametrize(
+    "call",
+    [df.combinatorial_distance, df.circuit_distance, df.edge_walk, df.circuit_walk],
+    ids=["combinatorial_distance", "circuit_distance", "edge_walk", "circuit_walk"],
+)
+def test_endpoints_off_the_grid_keep_their_errors(call, point, error, message):
+    """An endpoint off the costs' grid is judged on a grid widened for it
+    alone: on gk(2), a cut-vertex instance, both distances and both
+    builders raise the same error as for an on-grid one, as either end."""
+    graph, costs = df.family_gk(2)
+    _, far = gk_pair(2)
+    bad = df.Point.of(*point.split(","))
+    for source, target in ((bad, far), (far, bad)):
+        with pytest.raises(error) as caught:
+            call(graph, costs, source, target)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_each_call_looks_up_one_record(monkeypatch, near_vertex, far_vertex):
