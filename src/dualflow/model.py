@@ -712,10 +712,10 @@ def enumerate_vertices(
 ) -> VertexSet:
     """Every vertex, sorted by coordinates.  Results are cached per instance.
 
-    The vertices are the product of the blocks' (see :func:`blocks`), each
-    found by :attr:`_Instance.skeleton`; a tree witness is the union of one
-    per block.  ``tree_cap`` bounds the product of the blocks' spanning tree
-    counts, taken by the matrix-tree theorem before any search."""
+    The vertices are the product of the blocks' (see :func:`blocks`), found
+    as grid states and made Points only by :attr:`_Instance.vertex_set`; a
+    tree witness is the union of one per block.  ``tree_cap`` bounds the
+    product of the blocks' tree counts (matrix-tree theorem) before any search."""
     check_costs(graph, costs)
     instance = _instance(graph, tuple(costs))
     _check_tree_cap(instance.tree_count, tree_cap)
@@ -724,11 +724,11 @@ def enumerate_vertices(
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The polyhedron's skeleton: the edge search's space, whose states are
-    vertex indices.  ``states`` and ``index``, from the pivot search, map
-    them to the vertices' states on the record's grid and back."""
+    """The pivot search's grid data, with no Points: the vertices' sorted
+    states, their witnesses and the skeleton, the edge search's space.  Its
+    states are vertex indices, which ``states`` and ``index`` map to grid states."""
 
-    vertex_set: VertexSet
+    witnesses: tuple[tuple[frozenset[int], ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
     states: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
@@ -817,34 +817,34 @@ class _Instance:
 
     @cached_property
     def vertex_set(self) -> VertexSet:
-        """Every vertex, sorted: a 2-connected graph's from its pivot
-        search, else the blocks' joined on the whole graph's grid."""
+        """Every vertex, sorted: the only maker of a VertexSet and of vertex
+        Points, from the pivot search or the blocks' product on the grid."""
         if not self._blocks:
-            return self.skeleton.vertex_set
-        per_block = []
-        for block, part, _ in self._blocks:
-            found = part.skeleton
-            per_block.append([
-                (s, [frozenset(block.edges[i] for i in t) for t in trees])
-                for s, trees in zip(found.states, found.vertex_set.tree_witnesses)
-            ])
-        joined = []
-        for choice in itertools.product(*per_block):
-            states, trees = zip(*choice)
-            unions = itertools.starmap(frozenset().union, itertools.product(*trees))
-            joined.append((self.join(states), tuple(unions)))
-        joined.sort()  # the states are distinct, so the witnesses are never compared
+            found = self.skeleton
+            joined = list(zip(found.states, found.witnesses))
+        else:
+            per_block = [
+                [(s, [frozenset(block.edges[i] for i in t) for t in trees])
+                 for s, trees in zip(part.skeleton.states, part.skeleton.witnesses)]
+                for block, part, _ in self._blocks
+            ]
+            joined = []
+            for choice in itertools.product(*per_block):
+                states, trees = zip(*choice)
+                unions = itertools.starmap(frozenset().union, itertools.product(*trees))
+                joined.append((self.join(states), tuple(unions)))
+            joined.sort()  # the states are distinct, so the witnesses are never compared
         return VertexSet(
             tuple(self.grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined)
         )
 
     @cached_property
     def skeleton(self) -> _Skeleton:
-        """The whole graph's vertices, witnesses (their tight graphs'
-        spanning trees) and skeleton, by breadth-first search along pivots
-        on the grid (after Avis and Fukuda, 1992).  Each distinct pivot
-        (:func:`_pivots`) moves once.  A witness spanning both parts of two
-        adjacent vertices' common tight set pivots along their edge."""
+        """The whole graph's vertex states, witnesses (their tight graphs'
+        spanning trees) and skeleton, by breadth-first search along pivots on
+        the grid (after Avis and Fukuda, 1992), with no Point.  Each distinct
+        pivot (:func:`_pivots`) moves once.  A witness spanning both parts of
+        two adjacent vertices' common tight set pivots along their edge."""
         graph, grid = self.graph, self.grid
         n, edges = graph.node_count, graph.edges
         queue = _first_vertex(graph, grid.costs)
@@ -863,9 +863,8 @@ class _Instance:
                         queue.append(target)
         states = tuple(sorted(queue))
         index = {state: k for k, state in enumerate(states)}
-        vertex_set = VertexSet(tuple(map(grid.to_point, states)), tuple(map(witnesses.get, states)))
         adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
-        return _Skeleton(vertex_set, adjacency, states, index)
+        return _Skeleton(tuple(map(witnesses.get, states)), adjacency, states, index)
 
 
 # The one cache keyed on costs: callers pass costs that check_costs passed.

@@ -534,11 +534,13 @@ def diameter(
     the pair joined from the blocks' pairs.  In both modes a block's pair
     is the first source in vertex order whose eccentricity is the block's
     diameter, with the last of its farthest vertices in vertex order.
-    ``tree_cap`` applies per block.  Edge mode
-    reads no depth or state cap; in circuit mode each block's searches get
-    the depth that the earlier blocks' diameters left, and the states that
-    their largest searches left.  An infeasible instance has a block
-    without vertices and raises :class:`InfeasibleInstance`.
+    ``tree_cap`` applies per block.  Edge mode reads no depth or state cap;
+    in circuit mode each block's searches get the depth that the earlier
+    blocks' diameters left, and the states that their largest searches
+    left.  Blocks sharing a record reuse its answer while it fits the caps
+    left, and search again, to hit a cap as a new search would, otherwise.
+    An infeasible instance has a block without vertices and raises
+    :class:`InfeasibleInstance`.
     """
     if mode not in ("edge", "circuit"):
         raise ValidationError("mode must be 'edge' or 'circuit'")
@@ -549,11 +551,14 @@ def diameter(
         depth_cap = default_depth_cap(graph)
     instance = _instance(graph, tuple(costs))
     total = states = 0
-    ends = []
+    ends, answers = [], {}
     for part in instance.parts:
-        value, pair, held = _diameter(
-            mode, part, tree_cap, depth_cap, state_cap, (total, states)
-        )
+        found = answers.get(part)
+        if not (found and found[0] < depth_cap - total and found[2] <= state_cap - states):
+            found = answers[part] = _diameter(
+                mode, part, tree_cap, depth_cap, state_cap, (total, states)
+            )
+        value, pair, held = found
         states += held
         total += value
         ends.append([part.skeleton.states[k] for k in pair])

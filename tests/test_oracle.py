@@ -27,7 +27,7 @@ from dualflow.model import (
     check_costs,
     component_count,
 )
-from dualflow.oracle import _ScaledInstance, default_depth_cap
+from dualflow.oracle import _ScaledInstance, _search, default_depth_cap
 
 # the five vertices of the length-4 skeleton walk, in walk order
 WALK_POINTS = [
@@ -818,11 +818,12 @@ def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
     )
     degenerate = 0
     for graph, costs in biconnected_instances():
-        skeleton = _instance(graph, tuple(costs)).skeleton
+        record = _instance(graph, tuple(costs))
+        skeleton = record.skeleton
         if not skeleton.states:
             assert not df.feasibility_status(graph, costs).feasible
             continue
-        vertices = skeleton.vertex_set.vertices
+        vertices = record.vertex_set.vertices
         expected: list[list[int]] = [[] for _ in vertices]
         for i, u in enumerate(vertices):
             for j in range(i + 1, len(vertices)):
@@ -1141,6 +1142,73 @@ def test_circuit_caps_bound_the_whole_query_on_gk2():
         df.diameter(graph, costs, "circuit", depth_cap=7)
     with pytest.raises(df.FrontierTooLarge):
         df.diameter(graph, costs, "circuit", state_cap=20)
+
+
+@pytest.mark.parametrize(
+    "mode, pair",
+    [("edge", ((-1, 0, 0), (1, "4/3", 2))), ("circuit", (GK_NEAR, GK_FAR))],
+    ids=["edge", "circuit"],
+)
+def test_blocks_sharing_a_record_search_it_once(monkeypatch, mode, pair):
+    """gk(k)'s k blocks share the example's record.  A diameter searches it
+    once, from each of its 14 vertices, and reads that answer for the other
+    blocks: the value is 4k, and the pair repeats the block's pair k times."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _search(*args)
+
+    monkeypatch.setattr("dualflow.oracle._search", counted)
+    for k, value in ((2, 8), (3, 12), (10, 40)):
+        graph, costs = df.family_gk(k)
+        calls.clear()
+        result = df.diameter(graph, costs, mode)
+        assert (result.value, len(calls)) == (value, 14)
+        assert result.pair == tuple(df.Point.of(0, *end * k) for end in pair)
+
+
+def test_a_shared_record_keeps_every_cap_error_on_gk2():
+    """gk(2)'s second block reuses the first's answer only where its own
+    search would repeat the first's, so each cap fails where it failed
+    when every block was searched: the first block's diameter is 4 and its
+    largest search holds 74 states, which must fit what is left."""
+    graph, costs = df.family_gk(2)
+    with pytest.raises(df.DepthCapExceeded, match="^target not reached within depth 7$"):
+        df.diameter(graph, costs, "circuit", depth_cap=7)
+    assert df.diameter(graph, costs, "circuit", depth_cap=8).value == 8
+    with pytest.raises(df.FrontierTooLarge, match="^more than 147 states explored$"):
+        df.diameter(graph, costs, "circuit", state_cap=147)
+    assert df.diameter(graph, costs, "circuit", state_cap=148).value == 8
+
+
+def test_only_the_vertex_set_makes_vertex_points(monkeypatch, example):
+    """The pivot search keeps grid states, and only the record's vertex set
+    converts them.  With the record cache cleared before each call, a
+    distance makes one Point per walk point, a diameter one per end of its
+    pair, and :func:`dualflow.enumerate_vertices` one per vertex."""
+    calls = []
+
+    def counted(grid, state):
+        calls.append(state)
+        return to_point(grid, state)
+
+    to_point = Grid.to_point
+    monkeypatch.setattr(Grid, "to_point", counted)
+
+    def points_made(call, *args) -> int:
+        _instance.cache_clear()
+        calls.clear()
+        call(*args)
+        return len(calls)
+
+    gk2, gk10 = df.family_gk(2), df.family_gk(10)
+    assert points_made(df.combinatorial_distance, *gk2, *gk_pair(2)) == 9
+    for instance in (example, gk2, gk10):
+        for mode in ("edge", "circuit"):
+            assert points_made(df.diameter, *instance, mode) == 2
+    assert points_made(df.enumerate_vertices, *example) == 14
+    assert points_made(df.enumerate_vertices, *gk2) == 196
 
 
 def test_cap_errors_name_the_caps_as_passed(example):
