@@ -710,12 +710,10 @@ class VertexSet:
 def enumerate_vertices(
     graph: Digraph, costs: Sequence[Fraction], tree_cap: int = DEFAULT_TREE_CAP
 ) -> VertexSet:
-    """Every vertex, sorted by coordinates.  Results are cached per instance.
-
-    The vertices are the product of the blocks' (see :func:`blocks`), found
-    as grid states and made Points only by :attr:`_Instance.vertex_set`; a
-    tree witness is the union of one per block.  ``tree_cap`` bounds the
-    product of the blocks' tree counts (matrix-tree theorem) before any search."""
+    """Every vertex, sorted by coordinates, with its witnesses: its tight
+    graph's spanning trees in lexicographic order, listed by no other query
+    and cached per instance.  ``tree_cap`` bounds the product of the blocks'
+    (:func:`blocks`) tree counts (matrix-tree theorem) before any search."""
     check_costs(graph, costs)
     instance = _instance(graph, tuple(costs))
     _check_tree_cap(instance.tree_count, tree_cap)
@@ -724,11 +722,11 @@ def enumerate_vertices(
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The pivot search's grid data, with no Points: the vertices' sorted
-    states, their witnesses and the skeleton, the edge search's space.  Its
-    states are vertex indices, which ``states`` and ``index`` map to grid states."""
+    """The pivot search's grid data, with no Points and no trees: the sorted
+    vertex states, each one's ascending tight edges and the skeleton, the edge
+    search's space, whose states ``states`` and ``index`` map to grid states."""
 
-    witnesses: tuple[tuple[frozenset[int], ...], ...]
+    tight: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
     states: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
@@ -750,7 +748,6 @@ class _Skeleton:
         two_fit: bool,
     ) -> None:
         """Never tests: a vertex has as many neighbours to expand as to test."""
-        return None
 
 
 class _Instance:
@@ -816,45 +813,46 @@ class _Instance:
         return tuple(coords)
 
     @cached_property
-    def vertex_set(self) -> VertexSet:
-        """Every vertex, sorted: the only maker of a VertexSet and of vertex
-        Points, from the pivot search or the blocks' product on the grid."""
+    def tight_sets(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each vertex's grid state and tight edges, sorted by state: the pivot
+        search's, or the blocks' product, whose tight sets are the unions."""
         if not self._blocks:
-            found = self.skeleton
-            joined = list(zip(found.states, found.witnesses))
-        else:
-            per_block = [
-                [(s, [frozenset(block.edges[i] for i in t) for t in trees])
-                 for s, trees in zip(part.skeleton.states, part.skeleton.witnesses)]
-                for block, part, _ in self._blocks
-            ]
-            joined = []
-            for choice in itertools.product(*per_block):
-                states, trees = zip(*choice)
-                unions = itertools.starmap(frozenset().union, itertools.product(*trees))
-                joined.append((self.join(states), tuple(unions)))
-            joined.sort()  # the states are distinct, so the witnesses are never compared
-        return VertexSet(
-            tuple(self.grid.to_point(s) for s, _ in joined), tuple(t for _, t in joined)
+            return list(zip(self.skeleton.states, self.skeleton.tight))
+        per_block = [
+            [(s, tuple(block.edges[i] for i in t))
+             for s, t in zip(part.skeleton.states, part.skeleton.tight)]
+            for block, part, _ in self._blocks
+        ]
+        return sorted(  # the states are distinct, so no tight sets are compared
+            (self.join(states), sum(tights, ()))
+            for states, tights in (zip(*choice) for choice in itertools.product(*per_block))
         )
 
     @cached_property
+    def vertex_set(self) -> VertexSet:
+        """Every vertex, sorted: the only maker of a VertexSet and the only
+        lister of witnesses, by :func:`_tree_search` on the whole graph, from
+        each vertex's tight edges where they are not already a tree."""
+        n, joined = self.graph.node_count, self.tight_sets
+        trees = (
+            (frozenset(t),) if len(t) < n else tuple(_tree_search(self.graph, sorted(t)))
+            for _, t in joined
+        )
+        return VertexSet(tuple(self.grid.to_point(s) for s, _ in joined), tuple(trees))
+
+    @cached_property
     def skeleton(self) -> _Skeleton:
-        """The whole graph's vertex states, witnesses (their tight graphs'
-        spanning trees) and skeleton, by breadth-first search along pivots on
-        the grid (after Avis and Fukuda, 1992), with no Point.  Each distinct
-        pivot (:func:`_pivots`) moves once.  A witness spanning both parts of
-        two adjacent vertices' common tight set pivots along their edge."""
-        graph, grid = self.graph, self.grid
-        n, edges = graph.node_count, graph.edges
+        """The whole graph's vertex states, tight edges and skeleton, by
+        breadth-first search along pivots on the grid (after Avis and Fukuda,
+        1992), with no Point and no tree.  Each distinct pivot moves once: the
+        tight graph's bonds (:func:`_pivots`), which hold every skeleton edge."""
+        graph, grid, edges = self.graph, self.grid, self.graph.edges
         queue = _first_vertex(graph, grid.costs)
-        witnesses, neighbours = {}, {state: [] for state in queue}
+        tight, neighbours = {}, {state: [] for state in queue}
         for state in queue:
             slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
-            tight = [i for i, s in enumerate(slacks) if not s]
-            trees = [frozenset(tight)] if len(tight) == n - 1 else list(_tree_search(graph, tight))
-            witnesses[state] = tuple(trees)
-            for members, sign in _pivots(graph, tight, trees):
+            tight[state] = found = tuple(i for i, s in enumerate(slacks) if not s)
+            for members, sign in _pivots(graph, found):
                 target = _move(state, slacks, edges, members, sign)
                 if target:
                     neighbours[state].append(target)
@@ -864,7 +862,7 @@ class _Instance:
         states = tuple(sorted(queue))
         index = {state: k for k, state in enumerate(states)}
         adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
-        return _Skeleton(tuple(map(witnesses.get, states)), adjacency, states, index)
+        return _Skeleton(tuple(map(tight.get, states)), adjacency, states, index)
 
 
 # The one cache keyed on costs: callers pass costs that check_costs passed.
@@ -898,25 +896,30 @@ def _move(state: tuple, slacks: list, edges: Sequence, members: int, sign: int) 
     return move and tuple(x + move * (members >> v & 1) for v, x in enumerate(state))
 
 
-def _pivots(graph: Digraph, tight: Sequence[int], trees: Sequence) -> set[tuple[int, int]]:
-    """A vertex's distinct ``(S, sign)``: ``S``, a bitmask, is the side without
-    the anchor once a witness's edge is cut, and ``sign`` loosens it.  With
-    fewer candidate sides than witnesses, each side is tested instead."""
+def _pivots(graph: Digraph, tight: Sequence[int]) -> set[tuple[int, int]]:
+    """A vertex's distinct ``(S, sign)``, its tight graph's bonds: ``S``, a
+    bitmask without the anchor, and the rest each stay connected by the tight
+    edges not crossing ``S``; ``sign`` loosens a crossing edge.  A tree's bonds
+    are its subtrees; else each connected ``S``, grown from single nodes, is tested."""
     n, edges, found = graph.node_count, graph.edges, set()
-    if len(trees) > 1 << (n - 1):
-        pairs = [edges[i] for i in tight]
-        for members in range(2, 1 << n, 2):
+    if len(tight) >= n:
+        pairs, todo, seen = [edges[i] for i in tight], [1 << v for v in range(1, n)], set()
+        while todo:
+            members = todo.pop()
+            if members & 1 << ANCHOR or members in seen:
+                continue
+            seen.add(members)
             sides = [(members >> h & 1) - (members >> t & 1) for t, h in pairs]
             if component_count(n, [p for p, side in zip(pairs, sides) if not side]) == 2:
                 found.update((members, -side) for side in sides if side)
+            todo += [members | 1 << t | 1 << h for (t, h), side in zip(pairs, sides) if side]
         return found
-    for tree in trees:
-        adj, edge_of = tree_adjacency(graph, tree)
-        below = [1 << v for v in range(n)]
-        for v, parent in reversed(bfs_parents(ANCHOR, adj.__getitem__).items()):
-            if parent is not None:
-                below[parent] |= below[v]
-                found.add((below[v], 1 if edges[edge_of[parent, v]][0] == v else -1))
+    adj, edge_of = tree_adjacency(graph, tight)
+    below = [1 << v for v in range(n)]
+    for v, parent in reversed(bfs_parents(ANCHOR, adj.__getitem__).items()):
+        if parent is not None:
+            below[parent] |= below[v]
+            found.add((below[v], 1 if edges[edge_of[parent, v]][0] == v else -1))
     return found
 
 
@@ -931,14 +934,11 @@ def degeneracy_report(
 ) -> DegeneracyReport:
     """Check whether every vertex has exactly ``node_count - 1`` tight edges.
 
-    Witnesses are the vertices with more than one tree witness: a vertex's
-    tight graph spans all nodes, so it has more than ``node_count - 1``
-    edges exactly when it holds a cycle and hence several spanning trees.
-    """
-    vertex_set = enumerate_vertices(graph, costs, tree_cap)
-    witnesses = tuple(
-        vertex
-        for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses)
-        if len(trees) > 1
-    )
+    Witnesses are the vertices with more, whose tight graphs hold a cycle
+    and so several spanning trees.  It counts tight edges, lists no tree and
+    makes Points of these vertices alone, under the vertex set's ``tree_cap``."""
+    check_costs(graph, costs)
+    instance, n = _instance(graph, tuple(costs)), graph.node_count
+    _check_tree_cap(instance.tree_count, tree_cap)
+    witnesses = tuple(instance.grid.to_point(s) for s, t in instance.tight_sets if len(t) >= n)
     return DegeneracyReport(not witnesses, witnesses)

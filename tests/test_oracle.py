@@ -23,6 +23,7 @@ from dualflow.circuits import _step_between
 from dualflow.model import (
     Grid,
     _instance,
+    _pivots,
     blocks,
     check_costs,
     component_count,
@@ -714,15 +715,28 @@ def test_blocks_split_at_the_cut_vertices():
             assert grid.to_point(instance.join(locals_)) == vertex
 
 
+def edge_shuffled(graph, costs, rng: random.Random) -> tuple[df.Digraph, df.CostVector]:
+    """The same instance with its edges, and their costs, in a random order."""
+    order = list(range(graph.edge_count))
+    rng.shuffle(order)
+    return df.Digraph(graph.node_count, [graph.edges[i] for i in order]), tuple(
+        costs[i] for i in order
+    )
+
+
 def test_decomposed_vertices_match_whole_graph_trees():
+    """Vertices joined from the blocks' have the witnesses that solving
+    every spanning tree of the whole graph finds, in its order, also where
+    the blocks' edge indices interleave (the edge-shuffled copies)."""
+    rng = random.Random(5)
+    shuffled = [edge_shuffled(graph, costs, rng) for graph, costs in cut_vertex_instances()]
     degenerate = 0
-    for graph, costs in cut_vertex_instances():
+    for graph, costs in cut_vertex_instances() + tuple(shuffled):
         expected = whole_graph_vertices(graph, costs)
         vertex_set = df.enumerate_vertices(graph, costs)
         assert vertex_set.vertices == tuple(sorted(expected, key=lambda p: p.coords))
         for vertex, trees in zip(vertex_set.vertices, vertex_set.tree_witnesses):
-            assert len(set(trees)) == len(trees)
-            assert set(trees) == set(expected[vertex])
+            assert list(trees) == expected[vertex]
         report = df.degeneracy_report(graph, costs)
         assert set(report.witnesses) == {v for v, t in expected.items() if len(t) > 1}
         degenerate += not report.nondegenerate
@@ -765,6 +779,46 @@ def test_pruned_tree_search_matches_every_solved_tree():
             assert frozenset().union(*trees) == df.tight_graph(graph, costs, vertex)
         degenerate += any(len(trees) > 1 for trees in vertex_set.tree_witnesses)
     assert degenerate >= 10
+
+
+def subtree_cuts(graph, tight) -> set[tuple[int, int]]:
+    """The union, over every spanning tree of the tight edges, of the
+    tree's cuts: cutting a tree edge leaves a side without the anchor, a
+    node bitmask, paired with +1 when the cut edge's tail lies on that side
+    (moving the side up loosens the edge) and -1 otherwise."""
+    tight_graph = df.Digraph(graph.node_count, [graph.edges[i] for i in tight])
+    found = set()
+    for tree in df.enumerate_spanning_trees(tight_graph):
+        for cut in tree:
+            reached, grew = {df.ANCHOR}, True
+            while grew:
+                grew = False
+                for k in tree - {cut}:
+                    tail, head = tight_graph.edges[k]
+                    if (tail in reached) != (head in reached):
+                        reached |= {tail, head}
+                        grew = True
+            side = sum(1 << v for v in range(graph.node_count) if v not in reached)
+            found.add((side, 1 if side >> tight_graph.edges[cut][0] & 1 else -1))
+    return found
+
+
+def test_pivots_are_the_tight_graphs_bonds():
+    """The pivot search's moves at a vertex come from its tight edges alone:
+    they are every spanning tree's cuts with their loosening signs, at every
+    vertex of the 2-connected instances and of each block of the cut-vertex
+    instances.  A degenerate vertex's come from testing its connected
+    sides; 104 of the 1,160 vertices here are degenerate."""
+    cases = biconnected_instances()
+    for graph, costs in cut_vertex_instances():
+        cases += [(b.graph, tuple(costs[i] for i in b.edges)) for b in blocks(graph)]
+    degenerate = 0
+    for graph, costs in cases:
+        for vertex in df.enumerate_vertices(graph, costs).vertices:
+            tight = sorted(df.tight_graph(graph, costs, vertex))
+            assert _pivots(graph, tight) == subtree_cuts(graph, tight)
+            degenerate += len(tight) >= graph.node_count
+    assert degenerate >= 100
 
 
 def test_tree_cap_counts_every_spanning_tree():
@@ -1184,7 +1238,8 @@ def test_a_shared_record_keeps_every_cap_error_on_gk2():
 
 def test_only_the_vertex_set_makes_vertex_points(monkeypatch, example):
     """The pivot search keeps grid states, and only the record's vertex set
-    converts them.  With the record cache cleared before each call, a
+    converts them all (the degeneracy report converts only its degenerate
+    vertices).  With the record cache cleared before each call, a
     distance makes one Point per walk point, a diameter one per end of its
     pair, and :func:`dualflow.enumerate_vertices` one per vertex."""
     calls = []
@@ -1209,6 +1264,43 @@ def test_only_the_vertex_set_makes_vertex_points(monkeypatch, example):
             assert points_made(df.diameter, *instance, mode) == 2
     assert points_made(df.enumerate_vertices, *example) == 14
     assert points_made(df.enumerate_vertices, *gk2) == 196
+
+
+def test_only_enumerate_vertices_lists_witnesses(monkeypatch):
+    """Bipartite 5x5 with all costs 1 has one vertex, where all 25 edges
+    are tight, and 390,625 witnesses.  From a cold record, the edge
+    distance, the edge diameter and the degeneracy report list none of
+    them, and the report makes only the degenerate vertex's Point;
+    :func:`dualflow.enumerate_vertices` lists them all, in one search."""
+    graph, _ = df.complete_bipartite(5, 5, df.random_bipartite_costs(5, 5, 7))
+    costs = df.cost_vector([1] * graph.edge_count)
+    vertex = df.Point.of(0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(model, "_tree_search", counting("_tree_search", model._tree_search))
+    monkeypatch.setattr(Grid, "to_point", counting("to_point", Grid.to_point))
+
+    def cold(call, *args):
+        _instance.cache_clear()
+        calls.clear()
+        return call(*args)
+
+    assert cold(df.combinatorial_distance, graph, costs, vertex, vertex).length == 0
+    assert calls["_tree_search"] == 0
+    assert cold(df.diameter, graph, costs, "edge") == df.DiameterResult(0, None)
+    assert calls["_tree_search"] == 0
+    assert cold(df.degeneracy_report, graph, costs) == df.DegeneracyReport(False, (vertex,))
+    assert dict(calls) == {"to_point": 1}
+    vertex_set = cold(df.enumerate_vertices, graph, costs)
+    assert vertex_set.vertices == (vertex,)
+    assert len(vertex_set.tree_witnesses[0]) == 390_625
+    assert calls["_tree_search"] == 1
 
 
 def test_cap_errors_name_the_caps_as_passed(example):
