@@ -28,6 +28,9 @@ runs on integers.  That space tests whether its last
 targets lie one or two steps from the frontier instead of generating the
 layers that hold them (see :meth:`_ScaledInstance.goal_test`), so the
 search stores only the layers it expands and the chains to those targets.
+A circuit diameter runs the search on both spaces: the skeleton's edge
+distances bound the circuit distances from above, and so decide which
+sources and targets it searches (see :func:`_diameter`).
 Edge queries read no depth or state cap.  A cap error names the cap the
 caller passed.
 """
@@ -495,7 +498,16 @@ def _diameter(
     first source in vertex order whose eccentricity is the diameter, with
     the last of its farthest vertices in vertex order.  The caps and
     ``spent`` are :func:`_search`'s; a block without vertices (a
-    negative-cost cycle) raises :class:`InfeasibleInstance`."""
+    negative-cost cycle) raises :class:`InfeasibleInstance`.
+
+    Circuit mode bounds each circuit search by the source's edge distances
+    on the skeleton: a skeleton edge is a maximal circuit step, so no
+    circuit distance exceeds the edge distance.  A source searches only the
+    targets at edge distance above the best eccentricity so far, and a
+    source with no such target is skipped.  A dropped target can neither
+    raise the diameter nor be the farthest vertex of a source that does,
+    and the first source that attains the diameter is never skipped, so the
+    value and the pair are those of searching every pair."""
     _check_tree_cap(part.tree_count, tree_cap)
     skeleton = part.skeleton
     if not skeleton.states:
@@ -504,10 +516,14 @@ def _diameter(
     states = list(map(space.from_grid, skeleton.states))  # range(len(states)) on edges
     best, pair, held = 0, (0, 0), 0
     for i, source in enumerate(states):
-        others = states[:i] + states[i + 1 :]
-        if not others:
+        if mode == "edge":
+            targets = states[:i] + states[i + 1 :]
+        else:
+            bound = _search(skeleton, i, range(len(states)), math.inf, math.inf).depths
+            targets = [state for j, state in enumerate(states) if bound[j] > best]
+        if not targets:
             continue
-        reach = _search(space, source, others, depth_cap, state_cap, spent)
+        reach = _search(space, source, targets, depth_cap, state_cap, spent)
         held = max(held, len(reach.parents))
         length = max(reach.depths.values())
         if length > best:
@@ -533,7 +549,12 @@ def diameter(
     own, so the diameter is the sum of the blocks' diameters, attained by
     the pair joined from the blocks' pairs.  In both modes a block's pair
     is the first source in vertex order whose eccentricity is the block's
-    diameter, with the last of its farthest vertices in vertex order.
+    diameter, with the last of its farthest vertices in vertex order.  In
+    circuit mode a block skips the sources and drops the targets that the
+    skeleton's edge distances show cannot beat the best eccentricity so far
+    (see :func:`_diameter`); the value and the pair are those of searching
+    every pair, and so is every :class:`DepthCapExceeded`, but a state cap
+    that a search of every pair exceeded may now be met.
     ``tree_cap`` applies per block.  Edge mode reads no depth or state cap;
     in circuit mode each block's searches get the depth that the earlier
     blocks' diameters left, and the states that their largest searches

@@ -889,9 +889,10 @@ def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
     assert degenerate >= 10
 
 
+@lru_cache(maxsize=None)
 def circuit_reference(graph, costs, vertices) -> dict:
     """Every ordered pair of distinct vertices' circuit distance, from the
-    whole graph's search."""
+    whole graph's search; kept, for the tests that share an instance."""
     reference = {}
     for source in vertices:
         others = [v for v in vertices if v != source]
@@ -904,9 +905,11 @@ def circuit_reference(graph, costs, vertices) -> dict:
     return reference
 
 
+@lru_cache(maxsize=None)
 def edge_reference(graph, costs, vertices) -> dict:
     """Every ordered pair of vertices' edge distance, by breadth-first
-    search over the rank-based adjacency."""
+    search over the rank-based adjacency; kept, for the tests that share an
+    instance."""
     neighbors: dict = {u: [] for u in vertices}
     for i, u in enumerate(vertices):
         for v in vertices[i + 1 :]:
@@ -1176,6 +1179,45 @@ def test_diameter_pair_follows_the_rule(mode):
         assert result.pair == rule_pair(vertices, reference)
 
 
+def pruning_instances() -> list:
+    """The feasible instances of :func:`biconnected_instances` on at most six
+    nodes (the circuit diameter of its 7-node complete tournament ran past
+    100 s), 40 sub-tournaments on 3-6 nodes, every second with integer costs
+    so that degenerate vertices occur, and :func:`cut_vertex_instances`."""
+    rng = random.Random(16)
+    draws = [
+        random_sub_tournament(rng, rng.randint(3, 6), skip=0.3, integer_costs=i % 2 == 1)
+        for i in range(40)
+    ]
+    made = [
+        (graph, costs) for graph, costs in biconnected_instances() + draws
+        if graph.node_count <= 6 and df.feasibility_status(graph, costs).feasible
+    ]
+    return made + list(cut_vertex_instances())
+
+
+def test_pruned_circuit_diameter_matches_every_pair():
+    """The circuit diameter skips sources and drops targets by their edge
+    distance, and still gives the value and the pair of searching every
+    ordered pair on the whole graph; each source's circuit eccentricity is
+    at most its edge eccentricity, which the pruning rests on."""
+    degenerate = 0
+    for graph, costs in pruning_instances():
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        circuit = circuit_reference(graph, costs, vertices)
+        edge = edge_reference(graph, costs, vertices)
+        for source in vertices:
+            others = [t for t in vertices if t != source]
+            assert max((circuit[source, t] for t in others), default=0) <= max(
+                (edge[source, t] for t in others), default=0
+            )
+        result = df.diameter(graph, costs, "circuit")
+        assert result.value == max(circuit.values(), default=0)
+        assert result.pair == rule_pair(vertices, circuit)
+        degenerate += not df.degeneracy_report(graph, costs).nondegenerate
+    assert degenerate >= 20
+
+
 GK_NEAR = (0, 0, 0)
 GK_FAR = ("2/3", "4/3", 2)
 
@@ -1205,8 +1247,9 @@ def test_circuit_caps_bound_the_whole_query_on_gk2():
 )
 def test_blocks_sharing_a_record_search_it_once(monkeypatch, mode, pair):
     """gk(k)'s k blocks share the example's record.  A diameter searches it
-    once, from each of its 14 vertices, and reads that answer for the other
-    blocks: the value is 4k, and the pair repeats the block's pair k times."""
+    once and reads that answer for the other blocks: gk(k) makes as many
+    searches as the example, gk(1), alone.  The value is 4k, and the pair
+    repeats the block's pair k times."""
     calls = []
 
     def counted(*args):
@@ -1214,11 +1257,13 @@ def test_blocks_sharing_a_record_search_it_once(monkeypatch, mode, pair):
         return _search(*args)
 
     monkeypatch.setattr("dualflow.oracle._search", counted)
+    df.diameter(*df.family_gk(1), mode)
+    once = len(calls)
     for k, value in ((2, 8), (3, 12), (10, 40)):
         graph, costs = df.family_gk(k)
         calls.clear()
         result = df.diameter(graph, costs, mode)
-        assert (result.value, len(calls)) == (value, 14)
+        assert (result.value, len(calls)) == (value, once)
         assert result.pair == tuple(df.Point.of(0, *end * k) for end in pair)
 
 
