@@ -326,6 +326,7 @@ class Grid:
         denominators += [c.denominator for point in points for c in point]
         self.scale = math.lcm(1, *denominators)
         self.costs = tuple(c.numerator * (self.scale // c.denominator) for c in costs)
+        self._rationals: dict[int, Fraction] = {}  # each value's Fraction, made once
 
     def to_state(self, point: Point) -> tuple[int, ...]:
         """The point's coordinates times ``scale``."""
@@ -338,7 +339,10 @@ class Grid:
         return tuple(state)
 
     def to_rational(self, value: int) -> Fraction:
-        return Fraction(value, self.scale)
+        found = self._rationals.get(value)
+        if found is None:
+            found = self._rationals[value] = Fraction(value, self.scale)
+        return found
 
     def to_point(self, state: Iterable[int]) -> Point:
         """The point whose coordinates times ``scale`` are ``state``, without

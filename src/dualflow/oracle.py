@@ -28,9 +28,9 @@ runs on integers.  That space tests whether its last
 targets lie one or two steps from the frontier instead of generating the
 layers that hold them (see :meth:`_ScaledInstance.goal_test`), so the
 search stores only the layers it expands and the chains to those targets.
-A circuit diameter runs the search on both spaces: the skeleton's edge
-distances bound the circuit distances from above, and so decide which
-sources and targets it searches (see :func:`_diameter`).
+Both diameters start from the skeleton's eccentricities, found at once
+(:func:`_eccentricities`); a circuit diameter searches both spaces, as edge
+distances bound circuit distances and so pick its sources and targets.
 Edge queries read no depth or state cap.  A cap error names the cap the
 caller passed.
 """
@@ -49,6 +49,7 @@ from .errors import (
     FrontierTooLarge,
     IdenticalPoints,
     InfeasibleInstance,
+    InternalInvariant,
     ValidationError,
 )
 from .model import (
@@ -485,6 +486,38 @@ def circuit_distance(
 # diameters
 
 
+_BALL_WIDTH = 256  # columns per chunk of _eccentricities' int bitmask balls
+
+
+def _eccentricities(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """Each vertex's eccentricity in the undirected graph ``adjacency``: the
+    largest radius at which its ball, over :data:`_BALL_WIDTH` columns at a
+    time, is not full.  A radius-(d+1) ball joins the radius-d balls of the
+    vertex and its neighbours.  If no ball grows, raises InternalInvariant."""
+    count = len(adjacency)
+    radii = [0] * count
+    for low in range(0, count, _BALL_WIDTH):
+        columns = range(low, min(low + _BALL_WIDTH, count))
+        full = (1 << len(columns)) - 1
+        balls = [1 << (v - low) if v in columns else 0 for v in range(count)]
+        growing = [v for v in range(count) if balls[v] != full]
+        radius = 0
+        while growing:
+            radius += 1
+            grown = balls.copy()
+            for v in growing:
+                if radii[v] < radius:
+                    radii[v] = radius
+                ball = balls[v]
+                for u in adjacency[v]:
+                    ball |= balls[u]
+                grown[v] = ball
+            if grown == balls:
+                raise InternalInvariant("the skeleton is not connected")
+            balls, growing = grown, [v for v in growing if grown[v] != full]
+    return radii
+
+
 def _diameter(
     mode: str,
     part: _Instance,
@@ -500,30 +533,32 @@ def _diameter(
     ``spent`` are :func:`_search`'s; a block without vertices (a
     negative-cost cycle) raises :class:`InfeasibleInstance`.
 
-    Circuit mode bounds each circuit search by the source's edge distances
-    on the skeleton: a skeleton edge is a maximal circuit step, so no
-    circuit distance exceeds the edge distance.  A source searches only the
-    targets at edge distance above the best eccentricity so far, and a
-    source with no such target is skipped.  A dropped target can neither
-    raise the diameter nor be the farthest vertex of a source that does,
-    and the first source that attains the diameter is never skipped, so the
-    value and the pair are those of searching every pair."""
+    Edge mode searches from the first source of the largest edge
+    eccentricity.  In circuit mode no circuit distance exceeds the edge
+    distance, as a skeleton edge is a maximal circuit step: a source whose
+    edge eccentricity is at most the best so far is skipped unsearched, and
+    a kept source searches only the targets at edge distance above it.  A
+    dropped target can neither raise the diameter nor be the farthest vertex
+    of a source that does, and the first source that attains the diameter is
+    never skipped, so the value and pair are those of searching every pair."""
     _check_tree_cap(part.tree_count, tree_cap)
     skeleton = part.skeleton
     if not skeleton.states:
         raise InfeasibleInstance(_NO_VERTEX)
     space = _space(mode, part, tree_cap)
     states = list(map(space.from_grid, skeleton.states))  # range(len(states)) on edges
+    radii = _eccentricities(skeleton.adjacency)
+    sources = range(len(states)) if mode == "circuit" else [radii.index(max(radii))]
     best, pair, held = 0, (0, 0), 0
-    for i, source in enumerate(states):
+    for i in sources:
+        if radii[i] <= best:
+            continue
         if mode == "edge":
             targets = states[:i] + states[i + 1 :]
         else:
             bound = _search(skeleton, i, range(len(states)), math.inf, math.inf).depths
             targets = [state for j, state in enumerate(states) if bound[j] > best]
-        if not targets:
-            continue
-        reach = _search(space, source, targets, depth_cap, state_cap, spent)
+        reach = _search(space, states[i], targets, depth_cap, state_cap, spent)
         held = max(held, len(reach.parents))
         length = max(reach.depths.values())
         if length > best:
@@ -549,12 +584,13 @@ def diameter(
     own, so the diameter is the sum of the blocks' diameters, attained by
     the pair joined from the blocks' pairs.  In both modes a block's pair
     is the first source in vertex order whose eccentricity is the block's
-    diameter, with the last of its farthest vertices in vertex order.  In
-    circuit mode a block skips the sources and drops the targets that the
-    skeleton's edge distances show cannot beat the best eccentricity so far
-    (see :func:`_diameter`); the value and the pair are those of searching
-    every pair, and so is every :class:`DepthCapExceeded`, but a state cap
-    that a search of every pair exceeded may now be met.
+    diameter, with the last of its farthest vertices in vertex order; edge
+    mode searches from that source alone.  In circuit mode a block skips
+    the sources and drops the targets that the skeleton's edge distances
+    show cannot beat the best eccentricity so far (see :func:`_diameter`);
+    the value and the pair are those of searching every pair, and so is
+    every :class:`DepthCapExceeded`, but a state cap that a search of every
+    pair exceeded may now be met.
     ``tree_cap`` applies per block.  Edge mode reads no depth or state cap;
     in circuit mode each block's searches get the depth that the earlier
     blocks' diameters left, and the states that their largest searches

@@ -435,6 +435,49 @@ def test_infeasible_point_names_its_first_violated_edge(
     assert f"error [infeasible-point]: {message}\n" in text
 
 
+GK2_NEAR, GK2_FAR = "0,0,0,0,0,0,0", "0,2/3,4/3,2,2/3,4/3,2"
+
+
+@pytest.fixture()
+def gk2_file(tmp_path):
+    path = tmp_path / "gk2.graph"
+    assert invoke(["gen", "gk", "--k", "2", "-o", str(path)])[0] == 0
+    return str(path)
+
+
+def test_tree_caps_set_the_exit_code(gk2_file):
+    """The vertex set's cap bounds the product of gk(2)'s blocks' spanning
+    tree counts (51 * 51), an edge distance's cap each block's count: too
+    small a cap exits 1 with instance-too-large."""
+    vertices = ["vertices", gk2_file, "--json", "--tree-cap"]
+    code, text = invoke([*vertices, "2600"])
+    assert (code, json.loads(text)["error"]["code"]) == (1, "instance-too-large")
+    code, text = invoke([*vertices, "2601"])
+    assert (code, json.loads(text)["result"]["count"]) == (0, 196)
+    distance = [
+        "distance", gk2_file, "--mode", "edge", "--source-point", GK2_NEAR,
+        "--target-point", GK2_FAR, "--json", "--tree-cap",
+    ]
+    code, text = invoke([*distance, "50"])
+    assert (code, json.loads(text)["error"]["code"]) == (1, "instance-too-large")
+    code, text = invoke([*distance, "51"])
+    assert (code, json.loads(text)["result"]["distance"]) == (0, 8)
+
+
+@pytest.mark.parametrize("mode", ["edge", "circuit"])
+def test_gk2_distances_and_off_grid_endpoints(gk2_file, mode):
+    """Both of gk(2)'s distances are 8.  An endpoint off the costs' grid
+    (1/9) exits 1 with the error code an on-grid endpoint of its kind gets."""
+    distance = ["distance", gk2_file, "--mode", mode, "--target-point", GK2_FAR, "--json"]
+    code, text = invoke([*distance, "--source-point", GK2_NEAR])
+    assert (code, json.loads(text)["result"]["distance"]) == (0, 8)
+    for point, error in (
+        ("0,0,3/2,0,0,0,0", "infeasible-point"), ("0,1/2,1/2,1/2,0,0,0", "not-a-vertex")
+    ):
+        code, text = invoke([*distance, "--source-point", point])
+        assert (code, json.loads(text)["error"]["code"]) == (1, error)
+
+
 def test_directory_input_is_usage_error(tmp_path, capsys):
     code, text = invoke(["vertices", str(tmp_path)])
     assert code == 2

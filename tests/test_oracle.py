@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -18,10 +19,11 @@ from conftest import (
     random_sub_tournament,
     reference_neighbors,
 )
-from dualflow import model
+from dualflow import model, oracle
 from dualflow.circuits import _step_between
 from dualflow.model import (
     Grid,
+    _Skeleton,
     _instance,
     _pivots,
     blocks,
@@ -1216,6 +1218,71 @@ def test_pruned_circuit_diameter_matches_every_pair():
         assert result.pair == rule_pair(vertices, circuit)
         degenerate += not df.degeneracy_report(graph, costs).nondegenerate
     assert degenerate >= 20
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_eccentricities_at_small_ball_widths(monkeypatch, width):
+    """At these widths a block's skeleton spans many of the eccentricity
+    kernel's chunks, the last one mostly partial.  Edge diameters keep the
+    value and the pair of the rank-based reference, the pruned circuit
+    diameter still matches every pair, and a disconnected graph raises
+    rather than loops."""
+    monkeypatch.setattr(oracle, "_BALL_WIDTH", width)
+    for graph, costs in two_connected_instances() + list(cut_vertex_instances()):
+        vertices = df.enumerate_vertices(graph, costs).vertices
+        reference = edge_reference(graph, costs, vertices)
+        result = df.diameter(graph, costs, "edge")
+        assert result.value == max(reference.values())
+        assert result.pair == rule_pair(vertices, reference)
+    test_pruned_circuit_diameter_matches_every_pair()
+    with pytest.raises(df.InternalInvariant, match="^the skeleton is not connected$"):
+        oracle._eccentricities(((1,), (0,), (3,), (2,)))
+
+
+@pytest.mark.parametrize(
+    "m, n, value", [(5, 6, 11), (6, 6, 13), (6, 7, 13), (7, 7, 15)], ids=str
+)
+def test_large_bipartite_edge_diameters(m, n, value):
+    """Bipartite m x n, cost seed 7, with the tree cap lifted; 7x7's 924
+    vertices span four of the kernel's chunks.  The pair is the diameter
+    rule's over a skeleton search from every vertex."""
+    graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+    result = df.diameter(graph, costs, "edge", tree_cap=df.count_spanning_trees(graph))
+    record = _instance(graph, tuple(costs))
+    count = len(record.skeleton.states)
+    depths = [
+        _search(record.skeleton, i, range(count), math.inf, math.inf).depths
+        for i in range(count)
+    ]
+    source = next(i for i, found in enumerate(depths) if max(found.values()) == value)
+    far = max(j for j, length in depths[source].items() if length == value)
+    assert max(max(found.values()) for found in depths) == value
+    ends = (record.skeleton.states[source], record.skeleton.states[far])
+    assert result == df.DiameterResult(value, tuple(map(record.grid.to_point, ends)))
+
+
+def test_diameters_search_from_the_eccentricities(monkeypatch):
+    """The skeleton's eccentricities come before any search.  A circuit
+    diameter of the example, gk(1), skips 12 of its 14 sources without
+    searching them: 2 skeleton searches and 2 circuit searches.  An edge
+    diameter of a 2-connected block makes one skeleton search, from the
+    first source of the largest eccentricity, or none if it has one vertex."""
+    spaces = []
+
+    def counted(space, *args):
+        spaces.append(type(space))
+        return _search(space, *args)
+
+    monkeypatch.setattr("dualflow.oracle._search", counted)
+    assert df.diameter(*df.family_gk(1), "circuit").value == 4
+    assert Counter(spaces) == {_Skeleton: 2, _ScaledInstance: 2}
+    searched = 0
+    for graph, costs in two_connected_instances():
+        spaces.clear()
+        value = df.diameter(graph, costs, "edge").value  # 0 only with one vertex
+        assert spaces == ([_Skeleton] if value else [])
+        searched += bool(value)
+    assert searched >= 20
 
 
 GK_NEAR = (0, 0, 0)

@@ -5,7 +5,7 @@ versions of the package record by record.
 
 It imports the package from the ``src`` directory and the instance makers
 from the ``tests`` directory next to it, so a copy of this file placed in
-another checkout measures that checkout.  It builds two corpora, the same
+another checkout measures that checkout.  It builds three corpora, the same
 on every run, and prints, for each corpus and for each kind of query in it,
 the number of records, their SHA-256 and the count of each outcome (an
 answer or an error type).  ``--records`` also writes every record, one a
@@ -21,6 +21,9 @@ tabs, so that two versions' records can be diffed.
   the example and to a random part.  Each has both diameters and the
   circuit cap sweeps; the 40 glues also have both diameters at tree caps
   1-16.
+* **E**: bipartite m x n, 4 <= m <= n <= 7, cost seed 7: edge diameters
+  with the tree cap lifted to the graph's spanning tree count; and the
+  circuit diameters of 4 x 4 at cost seeds 7, 11 and 12.
 
 A circuit cap sweep runs the circuit diameter at every depth cap from 0 to
 its value + 1 (the state cap at its default); at every state cap from 0 to
@@ -152,6 +155,21 @@ def corpus_d():
         yield from diameter_records(f"negative-cycle-{name}", glued, glued_costs)
 
 
+def corpus_e():
+    for m in range(4, 8):
+        for n in range(m, 8):
+            graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+            tree_cap = df.count_spanning_trees(graph)
+            yield "edge", f"bipartite{m}x{n}", f"edge tree_cap={tree_cap}", outcome(
+                graph, costs, "edge", tree_cap=tree_cap
+            )
+    for seed in (7, 11, 12):
+        graph, costs = df.complete_bipartite(4, 4, df.random_bipartite_costs(4, 4, seed))
+        yield "circuit", f"bipartite4x4-seed{seed}", "circuit default caps", outcome(
+            graph, costs, "circuit"
+        )
+
+
 def digest(lines) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
@@ -161,7 +179,7 @@ def main(argv=None) -> None:
     parser.add_argument("--records", type=Path, help="also write every record to this file")
     args = parser.parse_args(argv)
     everything = []
-    for corpus, records in (("C", corpus_c()), ("D", corpus_d())):
+    for corpus, records in (("C", corpus_c()), ("D", corpus_d()), ("E", corpus_e())):
         by_kind: dict = {}
         for kind, name, query, result in records:
             by_kind.setdefault(kind, []).append((f"{corpus}\t{name}\t{query}\t{result}", result))
