@@ -373,7 +373,7 @@ def _add_caps(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tree-cap", type=_cap, default=DEFAULT_TREE_CAP,
-        help="spanning tree enumeration cap",
+        help="cap on the vertices and witnesses a query holds",
     )
 
 

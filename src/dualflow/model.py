@@ -651,13 +651,14 @@ def enumerate_spanning_trees(
     Counts first via the matrix-tree theorem and raises
     :class:`InstanceTooLarge` when the count exceeds ``cap``.
     """
-    _check_tree_cap(count_spanning_trees(graph), cap)
+    _check_cap(count_spanning_trees(graph), cap, "spanning trees")
     yield from _tree_search(graph, range(graph.edge_count))
 
 
-def _check_tree_cap(total: int, cap: int) -> None:
-    if total > cap:
-        raise InstanceTooLarge(f"{total} spanning trees exceed cap {cap}")
+def _check_cap(held: int, cap: int, what: str) -> None:
+    """The one test of a query's ``tree_cap``, on the ``what`` it holds."""
+    if held > cap:
+        raise InstanceTooLarge(f"more than {cap} {what}")
 
 
 def _tree_search(graph: Digraph, usable: Sequence[int]) -> Iterator[SpanningTree]:
@@ -716,12 +717,11 @@ def enumerate_vertices(
 ) -> VertexSet:
     """Every vertex, sorted by coordinates, with its witnesses: its tight
     graph's spanning trees in lexicographic order, listed by no other query
-    and cached per instance.  ``tree_cap`` bounds the product of the blocks'
-    (:func:`blocks`) tree counts (matrix-tree theorem) before any search."""
+    and cached per instance.  ``tree_cap`` bounds the vertices of each
+    block (:func:`blocks`) and of their product, and the witnesses listed;
+    the product is checked before it is built."""
     check_costs(graph, costs)
-    instance = _instance(graph, tuple(costs))
-    _check_tree_cap(instance.tree_count, tree_cap)
-    return instance.vertex_set
+    return _instance(graph, tuple(costs)).vertex_set(tree_cap)
 
 
 @dataclass(frozen=True)
@@ -744,32 +744,24 @@ class _Skeleton:
     def neighbors(self, state: int) -> tuple[int, ...]:
         return self.adjacency[state]
 
-    def goal_test(
-        self,
-        frontier: Sequence[int],
-        targets: Sequence[int],
-        found: dict,
-        two_fit: bool,
-    ) -> None:
-        """Never tests: a vertex has as many neighbours to expand as to test."""
+    # never tests: a vertex has as many neighbours to expand as to test
+    goal_test = staticmethod(lambda frontier, targets, found, two_fit: None)
 
 
 class _Instance:
     """A checked instance's record, one per instance (:func:`_instance`):
     each part is computed on first use and kept.  It holds no search state
-    and no cap; each call compares its ``tree_cap`` with :attr:`tree_count`."""
+    and no cap; it is the one place that applies a call's ``tree_cap``, to
+    what the call holds: each block's vertices, their product and the
+    witnesses listed, while they are found and again once they are kept."""
 
     def __init__(self, graph: Digraph, costs: CostVector):
         self.graph, self.costs = graph, costs
+        self._skeleton = self._tight_sets = self._witnessed = None
 
     @cached_property
     def grid(self) -> Grid:
         return Grid(self.costs)
-
-    @cached_property
-    def tree_count(self) -> int:
-        """The matrix-tree count, which is the product of the blocks'."""
-        return count_spanning_trees(self.graph)
 
     @cached_property
     def _blocks(self) -> tuple[tuple[Block, _Instance, int], ...]:
@@ -816,57 +808,70 @@ class _Instance:
                 coords[v] = base + factor * x
         return tuple(coords)
 
-    @cached_property
-    def tight_sets(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def tight_sets(self, tree_cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each vertex's grid state and tight edges, sorted by state: the pivot
-        search's, or the blocks' product, whose tight sets are the unions."""
-        if not self._blocks:
-            return list(zip(self.skeleton.states, self.skeleton.tight))
-        per_block = [
-            [(s, tuple(block.edges[i] for i in t))
-             for s, t in zip(part.skeleton.states, part.skeleton.tight)]
-            for block, part, _ in self._blocks
-        ]
-        return sorted(  # the states are distinct, so no tight sets are compared
-            (self.join(states), sum(tights, ()))
-            for states, tights in (zip(*choice) for choice in itertools.product(*per_block))
-        )
+        search's, or the blocks' product, whose tight sets are the unions and
+        whose size ``tree_cap`` bounds before it is built and once it is kept."""
+        if self._tight_sets is None:
+            skeletons = [part.skeleton(tree_cap) for part in self.parts]
+            _check_cap(math.prod(len(found.states) for found in skeletons), tree_cap, "vertices")
+            per_block = [
+                [(s, tuple(block.edges[i] for i in t)) for s, t in zip(found.states, found.tight)]
+                for (block, _, _), found in zip(self._blocks, skeletons)
+            ]
+            self._tight_sets = sorted(  # the states are distinct: no tight sets are compared
+                (self.join(states), sum(tights, ()))
+                for states, tights in (zip(*choice) for choice in itertools.product(*per_block))
+            ) if self._blocks else list(zip(skeletons[0].states, skeletons[0].tight))
+        _check_cap(len(self._tight_sets), tree_cap, "vertices")
+        return self._tight_sets
 
-    @cached_property
-    def vertex_set(self) -> VertexSet:
+    def vertex_set(self, tree_cap: int) -> VertexSet:
         """Every vertex, sorted: the only maker of a VertexSet and the only
         lister of witnesses, by :func:`_tree_search` on the whole graph, from
-        each vertex's tight edges where they are not already a tree."""
-        n, joined = self.graph.node_count, self.tight_sets
-        trees = (
-            (frozenset(t),) if len(t) < n else tuple(_tree_search(self.graph, sorted(t)))
-            for _, t in joined
-        )
-        return VertexSet(tuple(self.grid.to_point(s) for s, _ in joined), tuple(trees))
+        each vertex's tight edges where they are not already a tree, within
+        ``tree_cap`` witnesses."""
+        joined = self.tight_sets(tree_cap)
+        if self._witnessed is None:
+            n, listed, trees = self.graph.node_count, 0, []
+            for _, t in joined:
+                trees.append([])
+                for tree in [frozenset(t)] if len(t) < n else _tree_search(self.graph, sorted(t)):
+                    _check_cap(listed := listed + 1, tree_cap, "witnesses")
+                    trees[-1].append(tree)
+            points = tuple(self.grid.to_point(s) for s, _ in joined)
+            self._witnessed = VertexSet(points, tuple(map(tuple, trees))), listed
+        _check_cap(self._witnessed[1], tree_cap, "witnesses")
+        return self._witnessed[0]
 
-    @cached_property
-    def skeleton(self) -> _Skeleton:
+    def skeleton(self, tree_cap: int) -> _Skeleton:
         """The whole graph's vertex states, tight edges and skeleton, by
         breadth-first search along pivots on the grid (after Avis and Fukuda,
         1992), with no Point and no tree.  Each distinct pivot moves once: the
-        tight graph's bonds (:func:`_pivots`), which hold every skeleton edge."""
-        graph, grid, edges = self.graph, self.grid, self.graph.edges
-        queue = _first_vertex(graph, grid.costs)
-        tight, neighbours = {}, {state: [] for state in queue}
-        for state in queue:
-            slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
-            tight[state] = found = tuple(i for i, s in enumerate(slacks) if not s)
-            for members, sign in _pivots(graph, found):
-                target = _move(state, slacks, edges, members, sign)
-                if target:
-                    neighbours[state].append(target)
-                    if target not in neighbours:
-                        neighbours[target] = []
-                        queue.append(target)
-        states = tuple(sorted(queue))
-        index = {state: k for k, state in enumerate(states)}
-        adjacency = tuple(tuple(sorted(index[t] for t in neighbours[state])) for state in states)
-        return _Skeleton(tuple(map(tight.get, states)), adjacency, states, index)
+        tight graph's bonds (:func:`_pivots`), which hold every skeleton edge.
+        More than ``tree_cap`` vertices raise when the search stores the
+        first one too many, and at once when the search is kept."""
+        if self._skeleton is None:
+            graph, grid, edges = self.graph, self.grid, self.graph.edges
+            queue = _first_vertex(graph, grid.costs)
+            tight, neighbours = {}, {state: [] for state in queue}
+            for state in queue:
+                slacks = [c - state[h] + state[t] for c, (t, h) in zip(grid.costs, edges)]
+                tight[state] = found = tuple(i for i, s in enumerate(slacks) if not s)
+                for members, sign in _pivots(graph, found):
+                    target = _move(state, slacks, edges, members, sign)
+                    if target:
+                        neighbours[state].append(target)
+                        if target not in neighbours:
+                            neighbours[target] = []
+                            queue.append(target)
+                            _check_cap(len(queue), tree_cap, "vertices")
+            states = tuple(sorted(queue))
+            index = {state: k for k, state in enumerate(states)}
+            adjacency = tuple(tuple(sorted(index[t] for t in neighbours[s])) for s in states)
+            self._skeleton = _Skeleton(tuple(map(tight.get, states)), adjacency, states, index)
+        _check_cap(len(self._skeleton.states), tree_cap, "vertices")
+        return self._skeleton
 
 
 # The one cache keyed on costs: callers pass costs that check_costs passed.
@@ -940,9 +945,10 @@ def degeneracy_report(
 
     Witnesses are the vertices with more, whose tight graphs hold a cycle
     and so several spanning trees.  It counts tight edges, lists no tree and
-    makes Points of these vertices alone, under the vertex set's ``tree_cap``."""
+    makes Points of these vertices alone; ``tree_cap`` bounds the vertices of
+    each block and of their product, as in :func:`enumerate_vertices`."""
     check_costs(graph, costs)
     instance, n = _instance(graph, tuple(costs)), graph.node_count
-    _check_tree_cap(instance.tree_count, tree_cap)
-    witnesses = tuple(instance.grid.to_point(s) for s, t in instance.tight_sets if len(t) >= n)
+    joined = instance.tight_sets(tree_cap)
+    witnesses = tuple(instance.grid.to_point(s) for s, t in joined if len(t) >= n)
     return DegeneracyReport(not witnesses, witnesses)

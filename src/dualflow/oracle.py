@@ -12,7 +12,7 @@ one map between whole and block-local grid states, ``split`` and
 ``join``.  Witness walks move one block at a time on the whole grid, and
 the core of :func:`walk_from_points` re-derives each step and builds each
 point once.  A 2-connected graph is one block.  The depth and state caps
-bound the whole query and ``tree_cap`` each block.
+bound the whole query and ``tree_cap`` each block's vertices.
 
 Both distances and both diameters run one breadth-first search
 (:func:`_search`) over a block's space; only the space depends on the
@@ -61,7 +61,6 @@ from .model import (
     _Instance,
     _NO_VERTEX,
     _Skeleton,
-    _check_tree_cap,
     _check_vertices,
     _instance,
     check_costs,
@@ -300,12 +299,9 @@ _Space = _ScaledInstance | _Skeleton
 
 def _space(mode: str, part: _Instance, tree_cap: int) -> _Space:
     """One block's search space, from its record: its skeleton for edge
-    walks, within ``tree_cap``, its grid points and their circuit steps for
-    circuit walks."""
-    if mode == "edge":
-        _check_tree_cap(part.tree_count, tree_cap)
-        return part.skeleton
-    return _ScaledInstance(part.graph, part.grid)
+    walks, within ``tree_cap`` vertices, its grid points and their circuit
+    steps for circuit walks."""
+    return part.skeleton(tree_cap) if mode == "edge" else _ScaledInstance(part.graph, part.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +448,8 @@ def combinatorial_distance(
 ) -> DistanceResult:
     """Exact shortest edge-walk length.  The skeleton is the Cartesian
     product of the blocks' skeletons, so each block's skeleton is searched
-    breadth-first and the lengths add; ``tree_cap`` applies per block, and
-    no depth or state cap applies.  Endpoints are checked by
+    breadth-first and the lengths add; ``tree_cap`` bounds each block's
+    vertices, and no depth or state cap applies.  Endpoints are checked by
     :func:`dualflow.model.check_vertices`."""
     return _distance(
         "edge", graph, costs, source, target, tree_cap, math.inf, math.inf
@@ -541,8 +537,7 @@ def _diameter(
     dropped target can neither raise the diameter nor be the farthest vertex
     of a source that does, and the first source that attains the diameter is
     never skipped, so the value and pair are those of searching every pair."""
-    _check_tree_cap(part.tree_count, tree_cap)
-    skeleton = part.skeleton
+    skeleton = part.skeleton(tree_cap)
     if not skeleton.states:
         raise InfeasibleInstance(_NO_VERTEX)
     space = _space(mode, part, tree_cap)
@@ -591,13 +586,13 @@ def diameter(
     the value and the pair are those of searching every pair, and so is
     every :class:`DepthCapExceeded`, but a state cap that a search of every
     pair exceeded may now be met.
-    ``tree_cap`` applies per block.  Edge mode reads no depth or state cap;
-    in circuit mode each block's searches get the depth that the earlier
-    blocks' diameters left, and the states that their largest searches
-    left.  Blocks sharing a record reuse its answer while it fits the caps
-    left, and search again, to hit a cap as a new search would, otherwise.
-    An infeasible instance has a block without vertices and raises
-    :class:`InfeasibleInstance`.
+    ``tree_cap`` bounds each block's vertices, in both modes.  Edge mode
+    reads no depth or state cap; in circuit mode each block's searches get
+    the depth that the earlier blocks' diameters left, and the states that
+    their largest searches left.  Blocks sharing a record reuse its answer
+    while it fits the caps left, and search again, to hit a cap as a new
+    search would, otherwise.  An infeasible instance has a block without
+    vertices and raises :class:`InfeasibleInstance`.
     """
     if mode not in ("edge", "circuit"):
         raise ValidationError("mode must be 'edge' or 'circuit'")
@@ -618,7 +613,7 @@ def diameter(
         value, pair, held = found
         states += held
         total += value
-        ends.append([part.skeleton.states[k] for k in pair])
+        ends.append([part.skeleton(tree_cap).states[k] for k in pair])
     if total == 0:
         return DiameterResult(0, None)
     pair = tuple(instance.grid.to_point(instance.join(side)) for side in zip(*ends))

@@ -427,8 +427,7 @@ def _insertion_walk(
     slacks = [c - state[head] + state[tail] for c, (tail, head) in zip(grid.costs, edges)]
     pinned: list[int] = []
     label = list(range(n))
-    coords = list(grid.to_point(state))
-    points, steps = [Point(tuple(coords))], []
+    points, steps = [grid.to_point(state)], []
     for inserted in _lexmin_tree(graph, target_tight):
         start, goal = edges[inserted]
         c = n - len(pinned)
@@ -478,8 +477,7 @@ def _insertion_walk(
                     raise InternalInvariant("pivot phase exceeded its guaranteed bound")
             for v in s_set:
                 state[v] += sign * epsilon
-                coords[v] = grid.to_rational(state[v])
-            points.append(Point(tuple(coords)))
+            points.append(grid.to_point(state))
             steps.append(SignedStep(
                 PartitionCircuit(s_set), sign, grid.to_rational(epsilon), entering
             ))

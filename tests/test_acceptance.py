@@ -6,6 +6,7 @@ the random-instance sweep is shared between the bound and sandwich checks.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -283,6 +284,13 @@ def test_criterion_8_lower_bound_family(example):
             assert value >= Fraction(4, 3) * nodes - 4
 
 
+def signatures(m: int, n: int) -> int:
+    """C(m+n-2, m-1): the row-degree sequences of a spanning tree of K_{m,n}
+    (Balinski's signatures), the vertex count of every nondegenerate m x n
+    instance measured."""
+    return math.comb(m + n - 2, m - 1)
+
+
 def test_criterion_9_bipartite_bounds():
     with criterion(9, "bipartite diameter bounds", 120.0):
         rng = random.Random(SWEEP_SEED + 9)
@@ -294,6 +302,7 @@ def test_criterion_9_bipartite_bounds():
             if not df.degeneracy_report(graph, costs).nondegenerate:
                 continue
             done += 1
+            assert len(df.enumerate_vertices(graph, costs).vertices) == signatures(m, n)
             assert df.diameter(graph, costs, "edge").value <= (m - 1) * (n - 1)
             assert df.diameter(graph, costs, "circuit").value <= m + n - 2
         # m = n = 4: three fixed instances and 16 random ones.  A circuit
@@ -307,23 +316,27 @@ def test_criterion_9_bipartite_bounds():
         for seed, expected in [(7, 4), (11, 5), (12, 5)] + drawn:
             graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, seed))
             assert df.degeneracy_report(graph, costs).nondegenerate
+            assert len(df.enumerate_vertices(graph, costs).vertices) == signatures(m, n)
             circuit = df.diameter(graph, costs, "circuit").value
             assert expected in (None, circuit)
             assert circuit <= m + n - 2
             assert df.diameter(graph, costs, "edge").value <= (m - 1) * (n - 1)
-        # one edge bound at m = n = 5: its 70 vertices and their skeleton
-        # come from the pivot search, not from its 390,625 spanning trees
-        m = n = 5
-        graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
-        assert df.degeneracy_report(graph, costs).nondegenerate
-        assert len(df.enumerate_vertices(graph, costs).vertices) == 70
-        edge = df.diameter(graph, costs, "edge").value
-        assert edge == 9
-        assert edge <= (m - 1) * (n - 1)
+        # edge bounds from m x n = 5 x 5 to 7 x 7 at the default caps: the
+        # vertices and their skeleton come from the pivot search, and the
+        # cap counts them, not the 390,625 to 1.4e10 spanning trees
+        large = [(5, 5, 70, 9), (5, 6, 126, 11), (6, 6, 252, 13), (7, 7, 924, 15)]
+        for m, n, count, expected in large:
+            graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
+            assert df.degeneracy_report(graph, costs).nondegenerate
+            assert len(df.enumerate_vertices(graph, costs).vertices) == count == signatures(m, n)
+            edge = df.diameter(graph, costs, "edge").value
+            assert edge == expected
+            assert edge <= (m - 1) * (n - 1)
         print(
             "  (criterion 9 detail: 50 random instances with m, n <= 3, "
             "bipartite 4x4 (cost seeds 7, 11 and 12, and 16 random cost "
-            "seeds), and the edge diameter of bipartite 5x5 (cost seed 7))"
+            "seeds), and the edge diameters of bipartite 5x5, 5x6, 6x6 and "
+            "7x7 (cost seed 7); every vertex count is C(m+n-2, m-1))"
         )
 
 

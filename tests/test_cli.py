@@ -446,21 +446,21 @@ def gk2_file(tmp_path):
 
 
 def test_tree_caps_set_the_exit_code(gk2_file):
-    """The vertex set's cap bounds the product of gk(2)'s blocks' spanning
-    tree counts (51 * 51), an edge distance's cap each block's count: too
-    small a cap exits 1 with instance-too-large."""
+    """The vertex set's cap bounds the product of gk(2)'s blocks' vertex
+    counts (14 * 14), an edge distance's cap each block's count: too small
+    a cap exits 1 with instance-too-large."""
     vertices = ["vertices", gk2_file, "--json", "--tree-cap"]
-    code, text = invoke([*vertices, "2600"])
+    code, text = invoke([*vertices, "195"])
     assert (code, json.loads(text)["error"]["code"]) == (1, "instance-too-large")
-    code, text = invoke([*vertices, "2601"])
+    code, text = invoke([*vertices, "196"])
     assert (code, json.loads(text)["result"]["count"]) == (0, 196)
     distance = [
         "distance", gk2_file, "--mode", "edge", "--source-point", GK2_NEAR,
         "--target-point", GK2_FAR, "--json", "--tree-cap",
     ]
-    code, text = invoke([*distance, "50"])
+    code, text = invoke([*distance, "13"])
     assert (code, json.loads(text)["error"]["code"]) == (1, "instance-too-large")
-    code, text = invoke([*distance, "51"])
+    code, text = invoke([*distance, "14"])
     assert (code, json.loads(text)["result"]["distance"]) == (0, 8)
 
 

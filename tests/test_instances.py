@@ -151,7 +151,7 @@ def test_glue_is_a_product(seed, sizes, integer_costs):
     count = math.prod(len(df.enumerate_vertices(g, c).vertices) for g, c in parts)
     assert len(df.enumerate_vertices(glued, costs).vertices) == count
     whole_record = _instance(glued, costs)
-    assert len(whole_record.skeleton.states) == count
+    assert len(whole_record.skeleton(math.inf).states) == count
     depth_cap = default_depth_cap(glued)
     whole = {
         "edge": _diameter(

@@ -823,23 +823,30 @@ def test_pivots_are_the_tight_graphs_bonds():
     assert degenerate >= 100
 
 
-def test_tree_cap_counts_every_spanning_tree():
-    """The cap counts infeasible trees too: gk(4) has 38,416 vertices but
-    6,765,201 spanning trees."""
-    with pytest.raises(df.InstanceTooLarge, match="6765201 spanning trees"):
-        df.enumerate_vertices(*df.family_gk(4))
-    graph, costs = df.example_graph()
-    with pytest.raises(df.InstanceTooLarge):
-        df.enumerate_vertices(graph, costs, tree_cap=50)
-    assert len(df.enumerate_vertices(graph, costs, tree_cap=51).vertices) == 14
+def test_tree_cap_counts_vertices_not_spanning_trees(monkeypatch):
+    """The cap bounds the vertices a query holds, not the spanning trees:
+    gk(4) has 6,765,201 spanning trees but answers its 38,416 vertices at
+    the default cap.  gk(10)'s 14^10 vertices raise before the product
+    builds one."""
+    assert len(df.enumerate_vertices(*df.family_gk(4)).vertices) == 38_416
+
+    def build(*args):
+        raise AssertionError("a vertex of gk(10) was built")
+
+    monkeypatch.setattr(Grid, "to_point", build)
+    monkeypatch.setattr(model._Instance, "join", build)
+    for query in (df.enumerate_vertices, df.degeneracy_report):
+        with pytest.raises(df.InstanceTooLarge, match="^more than 1000000 vertices$"):
+            query(*df.family_gk(10))
 
 
 def test_tree_caps_hold_on_a_warm_record(example, near_vertex, far_vertex):
-    """The record keeps the spanning tree count, not a cap: once every
-    capped call has answered at the default cap, a smaller cap still
-    raises, naming the cap as passed, and the smallest cap that holds
-    answers the same.  The vertex set's cap bounds the product of the
-    blocks' counts (gk(2): 51 * 51), the other calls' each block's."""
+    """The record keeps what it found, not a cap: once every capped call
+    has answered at the default cap, a smaller cap still raises, naming
+    the cap as passed, and the smallest cap that holds answers the same.
+    The vertex set's cap bounds the product of the blocks' vertex counts
+    (gk(2): 14 * 14) and the witnesses it lists, the other calls' each
+    block's vertices."""
     graph, costs = example
     calls = [
         lambda cap: df.enumerate_vertices(graph, costs, tree_cap=cap),
@@ -850,16 +857,83 @@ def test_tree_caps_hold_on_a_warm_record(example, near_vertex, far_vertex):
     ]
     for call in calls:
         expected = call(10**6)
-        with pytest.raises(df.InstanceTooLarge, match="^51 spanning trees exceed cap 50$"):
-            call(50)
-        assert call(51) == expected
+        with pytest.raises(df.InstanceTooLarge, match="^more than 13 vertices$"):
+            call(13)
+        assert call(14) == expected
     graph, costs = df.family_gk(2)
     expected = df.enumerate_vertices(graph, costs)
-    with pytest.raises(df.InstanceTooLarge, match="^2601 spanning trees exceed cap 2600$"):
-        df.enumerate_vertices(graph, costs, tree_cap=2600)
-    assert df.enumerate_vertices(graph, costs, tree_cap=2601) == expected
+    with pytest.raises(df.InstanceTooLarge, match="^more than 195 vertices$"):
+        df.enumerate_vertices(graph, costs, tree_cap=195)
+    assert df.enumerate_vertices(graph, costs, tree_cap=196) == expected
     near, far = gk_pair(2)
-    assert df.combinatorial_distance(graph, costs, near, far, tree_cap=51).length == 8
+    with pytest.raises(df.InstanceTooLarge, match="^more than 13 vertices$"):
+        df.combinatorial_distance(graph, costs, near, far, tree_cap=13)
+    assert df.combinatorial_distance(graph, costs, near, far, tree_cap=14).length == 8
+
+
+def test_tree_cap_bounds_the_witnesses_listed(monkeypatch):
+    """A degenerate vertex holds several witnesses.  The two-node cycle's
+    one vertex has two: its vertex set raises at cap 1 on a cold record and
+    on a warm one, and answers at 2; its degeneracy report lists none and
+    answers at 1.  Bipartite 5x5 with all costs 1 has one vertex and
+    390,625 witnesses: at cap 10 the listing stops at the eleventh."""
+    graph, costs = df.Digraph(2, ((0, 1), (1, 0))), df.cost_vector([1, -1])
+    _instance.cache_clear()
+    with pytest.raises(df.InstanceTooLarge, match="^more than 1 witnesses$"):
+        df.enumerate_vertices(graph, costs, tree_cap=1)
+    expected = df.enumerate_vertices(graph, costs, tree_cap=2)
+    assert len(expected.tree_witnesses[0]) == 2
+    with pytest.raises(df.InstanceTooLarge, match="^more than 1 witnesses$"):
+        df.enumerate_vertices(graph, costs, tree_cap=1)
+    assert df.enumerate_vertices(graph, costs, tree_cap=2) == expected
+    assert df.degeneracy_report(graph, costs, tree_cap=1).witnesses == (df.Point.of(0, 1),)
+    listed, search = [], model._tree_search
+
+    def counted(*args):
+        for tree in search(*args):
+            listed.append(tree)
+            yield tree
+
+    monkeypatch.setattr(model, "_tree_search", counted)
+    graph, _ = df.complete_bipartite(5, 5, df.random_bipartite_costs(5, 5, 7))
+    costs = df.cost_vector([1] * graph.edge_count)
+    with pytest.raises(df.InstanceTooLarge, match="^more than 10 witnesses$"):
+        df.enumerate_vertices(graph, costs, tree_cap=10)
+    assert len(listed) == 11
+
+
+def test_a_cold_pivot_search_stops_at_the_cap(monkeypatch):
+    """On a cold record the pivot search raises as it stores the first
+    vertex over the cap: bipartite 7x7 (cost seed 7) has 924 vertices, and
+    at cap 100 at most 101 are stored.  The warm record then raises below
+    924 and answers at 924."""
+    graph, costs = df.complete_bipartite(7, 7, df.random_bipartite_costs(7, 7, 7))
+    stored = set()  # the first vertex and every later move's target hold what is stored
+
+    def first_vertex(*args):
+        found = first_vertex.original(*args)
+        stored.clear()
+        stored.update(found)
+        return found
+
+    def move(*args):
+        target = move.original(*args)
+        stored.add(target)
+        return target
+
+    first_vertex.original, move.original = model._first_vertex, model._move
+    monkeypatch.setattr(model, "_first_vertex", first_vertex)
+    monkeypatch.setattr(model, "_move", move)
+    _instance.cache_clear()
+    with pytest.raises(df.InstanceTooLarge, match="^more than 100 vertices$"):
+        df.diameter(graph, costs, "edge", tree_cap=100)
+    assert 100 < len(stored - {0}) <= 101
+    monkeypatch.undo()
+    assert len(df.enumerate_vertices(graph, costs).vertices) == 924
+    for query in (df.enumerate_vertices, df.degeneracy_report):
+        with pytest.raises(df.InstanceTooLarge, match="^more than 923 vertices$"):
+            query(graph, costs, tree_cap=923)
+    assert df.diameter(graph, costs, "edge", tree_cap=924).value == 15
 
 
 def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
@@ -875,11 +949,11 @@ def test_pivot_skeleton_matches_rank_adjacency(monkeypatch):
     degenerate = 0
     for graph, costs in biconnected_instances():
         record = _instance(graph, tuple(costs))
-        skeleton = record.skeleton
+        skeleton = record.skeleton(math.inf)
         if not skeleton.states:
             assert not df.feasibility_status(graph, costs).feasible
             continue
-        vertices = record.vertex_set.vertices
+        vertices = record.vertex_set(math.inf).vertices
         expected: list[list[int]] = [[] for _ in vertices]
         for i, u in enumerate(vertices):
             for j in range(i + 1, len(vertices)):
@@ -1082,8 +1156,8 @@ def test_endpoints_off_the_grid_keep_their_errors(call, point, error, message):
 def test_each_call_looks_up_one_record(monkeypatch, near_vertex, far_vertex):
     """gk(2)'s two blocks are identical, so they share one record, whose
     pivot search runs once for every oracle; a circuit distance on a cold
-    record runs neither the pivot search nor the tree count.  With the
-    record warm, each oracle call checks the costs once and makes one
+    record runs no pivot search, and no oracle counts spanning trees.  With
+    the record warm, each oracle call checks the costs once and makes one
     lookup in the record cache, and each walk builder checks the costs
     once."""
     graph, costs = df.family_gk(2)
@@ -1122,6 +1196,7 @@ def test_each_call_looks_up_one_record(monkeypatch, near_vertex, far_vertex):
         lambda: df.circuit_walk(graph, costs, near, far),
     ]
     answers = [oracle() for oracle in oracles]
+    assert counts == []
     walks = [builder() for builder in builders]
     block, other = _instance(graph, costs).parts
     assert block is other
@@ -1243,21 +1318,19 @@ def test_eccentricities_at_small_ball_widths(monkeypatch, width):
     "m, n, value", [(5, 6, 11), (6, 6, 13), (6, 7, 13), (7, 7, 15)], ids=str
 )
 def test_large_bipartite_edge_diameters(m, n, value):
-    """Bipartite m x n, cost seed 7, with the tree cap lifted; 7x7's 924
+    """Bipartite m x n, cost seed 7, at the default caps; 7x7's 924
     vertices span four of the kernel's chunks.  The pair is the diameter
     rule's over a skeleton search from every vertex."""
     graph, costs = df.complete_bipartite(m, n, df.random_bipartite_costs(m, n, 7))
-    result = df.diameter(graph, costs, "edge", tree_cap=df.count_spanning_trees(graph))
+    result = df.diameter(graph, costs, "edge")
     record = _instance(graph, tuple(costs))
-    count = len(record.skeleton.states)
-    depths = [
-        _search(record.skeleton, i, range(count), math.inf, math.inf).depths
-        for i in range(count)
-    ]
+    skeleton = record.skeleton(math.inf)
+    count = len(skeleton.states)
+    depths = [_search(skeleton, i, range(count), math.inf, math.inf).depths for i in range(count)]
     source = next(i for i, found in enumerate(depths) if max(found.values()) == value)
     far = max(j for j, length in depths[source].items() if length == value)
     assert max(max(found.values()) for found in depths) == value
-    ends = (record.skeleton.states[source], record.skeleton.states[far])
+    ends = (skeleton.states[source], skeleton.states[far])
     assert result == df.DiameterResult(value, tuple(map(record.grid.to_point, ends)))
 
 

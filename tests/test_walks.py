@@ -986,6 +986,25 @@ def test_builders_build_one_grid_and_no_whole_graph_circuit_test(
         assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
 
 
+def test_builders_run_no_point_checks(monkeypatch, near_vertex, far_vertex):
+    """The builders make each recorded point on their grid with
+    Grid.to_point: no Point.__post_init__ runs inside circuit_walk or
+    edge_walk, on gk(3) in both directions."""
+    ends = list(_gk_ends((3,), near_vertex, far_vertex))
+    checked, check = [], df.Point.__post_init__
+    monkeypatch.setattr(df.Point, "__post_init__", lambda p: checked.append(p) or check(p))
+    built = [
+        (graph, costs, builder(graph, costs, a, b))
+        for graph, costs, a, b in ends
+        for builder in (df.edge_walk, df.circuit_walk)
+    ]
+    assert checked == []
+    monkeypatch.undo()
+    for graph, costs, walk in built:
+        assert walk.length > 0
+        assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
+
+
 def _corruptions(graph, step):
     """Each way of falsifying one step's record, with the violation it must
     raise.  The blocking edges are recomputed here from their definition."""

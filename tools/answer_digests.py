@@ -13,8 +13,13 @@ line, as ``corpus, instance, query, caps`` and the outcome, separated by
 tabs, so that two versions' records can be diffed.
 
 * **C**: gk(1)-gk(10) diameters in both modes; on gk(1)-gk(4) the circuit
-  cap sweeps below; gk(2) edge diameters at tree caps 0, 50, 51, 2600 and
-  2601.
+  cap sweeps below; gk(2) edge diameters at tree caps 0, 13, 14, 50, 51,
+  2600 and 2601, its edge distance between the near and far vertices at
+  tree caps 13, 14, 50 and 51, and its vertex set at tree caps 195, 196,
+  2600 and 2601.  Each pair of caps is the last that raises and the first
+  that answers, under the rule that counts spanning trees (51 per block,
+  2601 in all) and under the one that counts vertices (14 per block, 196
+  in all).
 * **D**: the cut-vertex instances of ``tests/test_oracle.py``; 40 glues,
   from ``random.Random(25)``, of one random part three times around
   another, so that blocks share a record; and a negative 3-cycle glued to
@@ -52,15 +57,45 @@ from test_oracle import cut_vertex_instances  # noqa: E402
 NEGATIVE_CYCLE = (df.Digraph(3, ((0, 1), (1, 2), (2, 0))), df.cost_vector([1, 1, -3]))
 
 
-def outcome(graph, costs, mode, **caps) -> str:
-    """One diameter's value and pair, or its error's type and message."""
+def attempt(query) -> str:
+    """The text of ``query()``, or its error's type and message."""
     try:
-        result = df.diameter(graph, costs, mode, **caps)
+        return query()
     except df.DualflowError as error:
         return f"{type(error).__name__}: {error}"
-    if result.pair is None:
-        return f"{result.value} None"
-    return f"{result.value} " + " ".join(map(str, result.pair))
+
+
+def outcome(graph, costs, mode, **caps) -> str:
+    """One diameter's value and pair, or its error's type and message."""
+
+    def query():
+        result = df.diameter(graph, costs, mode, **caps)
+        return f"{result.value} " + " ".join(map(str, result.pair or [None]))
+
+    return attempt(query)
+
+
+def vertex_outcome(graph, costs, tree_cap) -> str:
+    """The vertex count and a digest of the vertices with their witnesses."""
+
+    def query():
+        found = df.enumerate_vertices(graph, costs, tree_cap=tree_cap)
+        return f"{len(found.vertices)} vertices " + digest(
+            f"{vertex} {sorted(map(sorted, trees))}"
+            for vertex, trees in zip(found.vertices, found.tree_witnesses)
+        )
+
+    return attempt(query)
+
+
+def distance_outcome(graph, costs, source, target, tree_cap) -> str:
+    """The edge distance and its walk's points."""
+
+    def query():
+        result = df.combinatorial_distance(graph, costs, source, target, tree_cap=tree_cap)
+        return f"{result.length} " + " ".join(map(str, result.walk.points))
+
+    return attempt(query)
 
 
 def first_answering_state_cap(graph, costs) -> int:
@@ -118,9 +153,18 @@ def corpus_c():
         records = diameter_records if k <= 4 else answer_records
         yield from records(f"gk{k}", graph, costs)
     graph, costs = df.family_gk(2)
-    for tree_cap in (0, 50, 51, 2600, 2601):
+    for tree_cap in (0, 13, 14, 50, 51, 2600, 2601):
         yield "tree", "gk2", f"edge tree_cap={tree_cap}", outcome(
             graph, costs, "edge", tree_cap=tree_cap
+        )
+    near, far = (df.Point.of(0, *coords * 2) for coords in ((0, 0, 0), ("2/3", "4/3", 2)))
+    for tree_cap in (13, 14, 50, 51):
+        yield "tree", "gk2", f"edge distance tree_cap={tree_cap}", distance_outcome(
+            graph, costs, near, far, tree_cap
+        )
+    for tree_cap in (195, 196, 2600, 2601):
+        yield "tree", "gk2", f"vertices tree_cap={tree_cap}", vertex_outcome(
+            graph, costs, tree_cap
         )
 
 
