@@ -10,7 +10,6 @@ lowers them until an edge leaving S becomes tight.  Every step outside
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
@@ -29,14 +28,14 @@ from .model import (
     ANCHOR,
     Digraph,
     Point,
+    Record,
     component_count,
     is_feasible,
     shift_point,
 )
 
 
-@dataclass(frozen=True)
-class PartitionCircuit:
+class PartitionCircuit(Record):
     """The S side of a bipartition; the anchor always lies on the other side."""
 
     s_set: frozenset[int]
@@ -48,8 +47,7 @@ class PartitionCircuit:
             raise ValidationError("anchor cannot lie in S")
 
 
-@dataclass(frozen=True)
-class SignedStep:
+class SignedStep(Record):
     """A maximal move along a circuit: direction, sign, length, blocking edges."""
 
     circuit: PartitionCircuit
@@ -182,8 +180,7 @@ def _max_step(
     return SignedStep(circuit, sign, epsilon, entering)
 
 
-@dataclass(frozen=True)
-class CircuitNeighbor:
+class CircuitNeighbor(Record):
     """One reachable point together with the signed step that lands on it."""
 
     point: Point

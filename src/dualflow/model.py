@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,8 +75,63 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Record:
+    """A frozen record.  A subclass's fields are its own annotations, in
+    order, kept as ``__match_args__``; a class attribute gives a field's
+    default.  Each subclass gets its own generated ``__init__``, which sets
+    every field once and then calls ``__post_init__`` if the class has one,
+    ``__eq__`` (same class, equal fields) and ``__hash__`` (the hash of the
+    tuple of fields, so that set and dict orders follow the fields alone).
+    :meth:`replace` copies a record with some fields changed and runs its
+    checks again."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        scope = {"_set": object.__setattr__}
+        params = []
+        for name in fields:
+            if name in cls.__dict__:
+                scope[f"_default_{name}"] = cls.__dict__[name]
+                params.append(f"{name}=_default_{name}")
+            else:
+                params.append(name)
+        mine = "".join(f"self.{name}, " for name in fields)
+        theirs = "".join(f"other.{name}, " for name in fields)
+        source = [f"def __init__(self, {', '.join(params)}):"]
+        source += [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            source.append("    self.__post_init__()")
+        source += [
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]
+        exec("\n".join(source), scope)
+        for name in ("__init__", "__eq__", "__hash__"):
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, /, **changes):
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return type(self)(**{**fields, **changes})
+
+    __replace__ = replace
+
+
+class Digraph(Record):
     """Directed graph on nodes ``0..node_count-1`` with node 0 as anchor.
 
     No self-loops, no duplicate (tail, head) pairs, underlying undirected
@@ -139,8 +193,7 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """One biconnected block of a graph, renumbered on its own.
 
     Local node 0 is the anchor: the block's node nearest node 0 of the whole
@@ -270,8 +323,7 @@ def check_costs(graph: Digraph, costs: Sequence[Fraction]) -> None:
             raise FormatError(f"bad cost {c!r} on edge {i}: expected an int or a Fraction")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A candidate member of the polyhedron; coordinate 0 is pinned to zero.
     Coordinates are ``Fraction`` or ``int``; anything else raises
     :class:`FormatError`."""
@@ -455,8 +507,7 @@ def is_feasible(graph: Digraph, costs: Sequence[Fraction], point: Point) -> bool
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Record):
     feasible: bool
     witness: Point | None
 
@@ -694,8 +745,7 @@ def _tree_search(graph: Digraph, usable: Sequence[int]) -> Iterator[SpanningTree
 # vertices and degeneracy
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Record):
     """All vertices plus, per vertex, every spanning tree that maps to it."""
 
     vertices: tuple[Point, ...]
@@ -724,8 +774,7 @@ def enumerate_vertices(
     return _instance(graph, tuple(costs)).vertex_set(tree_cap)
 
 
-@dataclass(frozen=True)
-class _Skeleton:
+class _Skeleton(Record):
     """The pivot search's grid data, with no Points and no trees: the sorted
     vertex states, each one's ascending tight edges and the skeleton, the edge
     search's space, whose states ``states`` and ``index`` map to grid states."""
@@ -932,8 +981,7 @@ def _pivots(graph: Digraph, tight: Sequence[int]) -> set[tuple[int, int]]:
     return found
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(Record):
     nondegenerate: bool
     witnesses: tuple[Point, ...]
 

@@ -38,7 +38,6 @@ caller passed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
 from typing import Sequence
@@ -58,6 +57,7 @@ from .model import (
     Digraph,
     Grid,
     Point,
+    Record,
     _Instance,
     _NO_VERTEX,
     _Skeleton,
@@ -73,14 +73,12 @@ from .walks import Walk, _walk_from_states
 DEFAULT_STATE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(Record):
     length: int
     walk: Walk
 
 
-@dataclass(frozen=True)
-class DiameterResult:
+class DiameterResult(Record):
     value: int
     pair: tuple[Point, Point] | None
 
@@ -313,8 +311,7 @@ def default_depth_cap(graph: Digraph) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class _Reach:
+class _Reach(Record):
     """One search: the depth of each target state, and the search tree
     that gives a shortest chain on demand."""
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
@@ -64,6 +63,7 @@ from .model import (
     Digraph,
     Grid,
     Point,
+    Record,
     _check_vertices,
     _find,
     bfs_parents,
@@ -79,8 +79,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
+class ContractionRecord(Record):
     """Everything needed to move points between an instance and the instance
     obtained by merging one tight edge's head into its tail.  Its numbers are
     in the units of the costs it was built from: rationals, or a
@@ -99,8 +98,7 @@ class ContractionRecord:
     shift: Fraction
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(Record):
     """A point sequence with one recorded signed step per move."""
 
     points: tuple[Point, ...]
@@ -375,7 +373,9 @@ def _walk_from_states(graph: Digraph, grid: Grid, states: Sequence, mode: str) -
     steps = []
     for before, after in zip(states, states[1:]):
         step = _step_between(graph, grid.costs, before, after, grid.scale)
-        steps.append(replace(step, epsilon=grid.to_rational(step.epsilon)))
+        steps.append(SignedStep(
+            step.circuit, step.sign, grid.to_rational(step.epsilon), step.entering_edges
+        ))
     return Walk(tuple(map(grid.to_point, states)), tuple(steps), mode)
 
 
@@ -520,8 +520,7 @@ def circuit_walk(
 # validation
 
 
-@dataclass(frozen=True)
-class WalkValidation:
+class WalkValidation(Record):
     valid: bool
     violation: str | None = None
 

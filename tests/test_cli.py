@@ -605,3 +605,21 @@ def test_memory_error_is_a_typed_error(example_file, monkeypatch):
     report = json.loads(text)
     assert report["status"] == "error"
     assert report["error"]["code"] == "out-of-memory"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Each CLI call pays for its imports: ``import dualflow.cli`` in a fresh
+    interpreter must not pull in ``dataclasses`` or ``inspect``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    probe = (
+        "import sys; before = set(sys.modules); import dualflow.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "dualflow.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from conftest import (
     random_sub_tournament,
     reference_spanning_trees,
 )
-from dualflow.model import Grid, check_costs, check_vertices
+from dualflow.model import Block, Grid, Record, _Skeleton, check_costs, check_vertices
+from dualflow.oracle import _Reach
 
 EXAMPLE_TEXT = """\
 # canonical 4-node instance
@@ -551,3 +553,122 @@ def test_digraph_stores_its_edges_as_a_tuple_of_pairs():
     assert graph.edges == ((0, 1), (1, 0))
     assert graph == df.Digraph(2, ((0, 1), (1, 0)))
     assert len(df.enumerate_vertices(graph, df.cost_vector([1, 1])).vertices) == 2
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def _record_cases():
+    """One valid field set per record class, and bad field sets with the
+    typed error each must raise, as ``(class, fields, bad)``."""
+    graph = df.Digraph(2, ((0, 1),))
+    p, q = df.Point.of(0, 0), df.Point.of(0, 1)
+    circuit = df.PartitionCircuit(frozenset({1}))
+    step = df.SignedStep(circuit, 1, Fraction(1), frozenset({0}))
+    walk = df.Walk((p, q), (step,), "circuit")
+    costs = (Fraction(1),)
+    return [
+        (df.Digraph, {"node_count": 2, "edges": ((0, 1),)}, [
+            ({"node_count": 0, "edges": ()}, df.ValidationError),
+            ({"node_count": 2, "edges": ((0, 0),)}, df.ValidationError),
+            ({"node_count": 3, "edges": ((0, 1),)}, df.ValidationError),
+        ]),
+        (Block, {"graph": graph, "nodes": (0, 1), "edges": (0,)}, []),
+        (df.Point, {"coords": (Fraction(0), Fraction(1, 2))}, [
+            ({"coords": ()}, df.ValidationError),
+            ({"coords": (Fraction(1),)}, df.ValidationError),
+            ({"coords": (0, 0.5)}, df.FormatError),
+        ]),
+        (df.FeasibilityResult, {"feasible": True, "witness": p}, []),
+        (df.VertexSet, {"vertices": (p, q), "tree_witnesses": ((frozenset({0}),),) * 2}, []),
+        (_Skeleton, {"tight": ((0,),), "adjacency": ((),), "states": ((0, 0),),
+                     "index": {(0, 0): 0}}, []),
+        (df.DegeneracyReport, {"nondegenerate": False, "witnesses": (p,)}, []),
+        (df.PartitionCircuit, {"s_set": frozenset({1})}, [
+            ({"s_set": frozenset()}, df.ValidationError),
+            ({"s_set": frozenset({0, 1})}, df.ValidationError),
+        ]),
+        (df.SignedStep, {"circuit": circuit, "sign": -1, "epsilon": Fraction(1, 3),
+                         "entering_edges": frozenset({0})}, [
+            ({"circuit": circuit, "sign": 2, "epsilon": Fraction(1),
+              "entering_edges": frozenset()}, df.ValidationError),
+            ({"circuit": circuit, "sign": 1, "epsilon": Fraction(0),
+              "entering_edges": frozenset()}, df.ValidationError),
+        ]),
+        (df.CircuitNeighbor, {"point": q, "steps": (step,)}, []),
+        (df.ContractionRecord, {
+            "original_graph": graph, "original_costs": costs, "graph": df.Digraph(1, ()),
+            "costs": (), "edge_index": 0, "kept_node": 0, "removed_node": 1,
+            "edge_cost": Fraction(1), "node_map": (0, 0), "edge_map": (None,),
+            "shift": Fraction(1),
+        }, []),
+        (df.Walk, {"points": (p, q), "steps": (step,), "mode": "circuit"}, [
+            ({"points": (), "steps": (), "mode": "edge"}, df.ValidationError),
+            ({"points": (p, q), "steps": (step,), "mode": "pivot"}, df.ValidationError),
+            ({"points": (p, q), "steps": (), "mode": "edge"}, df.ValidationError),
+        ]),
+        (df.WalkValidation, {"valid": False, "violation": "step 0 is not maximal"}, []),
+        (df.DistanceResult, {"length": 1, "walk": walk}, []),
+        (df.DiameterResult, {"value": 1, "pair": (p, q)}, []),
+        (_Reach, {"parents": {0: None}, "depths": {0: 0}}, []),
+    ]
+
+
+RECORD_CASES = _record_cases()
+
+
+def test_record_cases_cover_every_record_class():
+    records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("dualflow.")}
+    assert {cls for cls, _, _ in RECORD_CASES} == records
+    assert len(records) == 16
+
+
+@pytest.mark.parametrize(
+    "cls, fields, bad", RECORD_CASES, ids=[cls.__name__ for cls, _, _ in RECORD_CASES]
+)
+def test_record_parity(cls, fields, bad):
+    """Each record keeps what it had as a frozen dataclass: construction by
+    position and keyword, equality within its class only, the hash of its
+    field tuple, frozen fields, the dataclass ``repr`` and its typed checks."""
+    record = cls(**fields)
+    values = tuple(fields.values())
+    assert cls(*values) == record
+    assert tuple(getattr(record, name) for name in fields) == values
+    twin = type(cls.__name__, (Record,), {"__annotations__": dict.fromkeys(fields, "object")})
+    assert twin(*values) != record and record != twin(*values)
+    like = dataclasses.make_dataclass(cls.__qualname__, list(fields), frozen=True)(*values)
+    assert repr(record) == repr(like)
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected == hash(like)
+        assert {record: 1}[cls(**fields)] == 1
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    name = next(iter(fields))
+    assert record.replace() == record == record.__replace__(**{name: fields[name]})
+    for bad_fields, error in bad:
+        with pytest.raises(error):
+            cls(**bad_fields)
+        with pytest.raises(error):
+            record.replace(**bad_fields)
+
+
+def test_record_defaults_and_cached_properties():
+    assert df.WalkValidation(True).violation is None
+    assert df.WalkValidation(True) == df.WalkValidation(True, None)
+    vertices = df.enumerate_vertices(*df.example_graph()).vertices
+    vertex_set = df.VertexSet(vertices, ((),) * len(vertices))
+    assert vertex_set.index_of(vertices[-1]) == len(vertices) - 1
+    assert vertex_set.index_of(vertices[0]) == 0
+    with pytest.raises(df.NotAVertex):
+        vertex_set.index_of(df.Point.of(0, 99, 0, 0))
+    with pytest.raises(TypeError):
+        df.Point((Fraction(0),)).replace(coordinates=())

@@ -7,7 +7,6 @@ import math
 import pathlib
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -871,13 +870,13 @@ def test_validate_off_the_cost_grid(example):
     walk = df.Walk(points, (step,), "circuit")
     assert df.validate_walk(graph, costs, walk) == df.WalkValidation(True, None)
     shortened = df.Walk(
-        (points[0], df.Point.of(0, 0, 0, "1/2")), (replace(step, epsilon=Fraction(5, 14)),),
+        (points[0], df.Point.of(0, 0, 0, "1/2")), (step.replace(epsilon=Fraction(5, 14)),),
         "circuit",
     )
     assert df.validate_walk(graph, costs, shortened) == df.WalkValidation(
         False, "step 0 is not maximal"
     )
-    wrong_length = df.Walk(points, (replace(step, epsilon=Fraction(61, 62)),), "circuit")
+    wrong_length = df.Walk(points, (step.replace(epsilon=Fraction(61, 62)),), "circuit")
     assert df.validate_walk(graph, costs, wrong_length) == df.WalkValidation(
         False, "step 0 disagrees with its record"
     )
@@ -1014,17 +1013,17 @@ def _corruptions(graph, step):
         if (head if sign > 0 else tail) in s_set and (tail if sign > 0 else head) not in s_set
     }
     for i in sorted(step.entering_edges):
-        yield "drop an entering edge", replace(
-            step, entering_edges=step.entering_edges - {i}
+        yield "drop an entering edge", step.replace(
+            entering_edges=step.entering_edges - {i}
         ), "records wrong entering edges"
     for i in sorted(set(range(graph.edge_count)) - blocking)[:3]:
-        yield "add a non-blocking edge", replace(
-            step, entering_edges=step.entering_edges | {i}
+        yield "add a non-blocking edge", step.replace(
+            entering_edges=step.entering_edges | {i}
         ), "records wrong entering edges"
-    yield "flip the sign", replace(step, sign=-sign), "disagrees with its record"
+    yield "flip the sign", step.replace(sign=-sign), "disagrees with its record"
     for v in sorted(set(range(1, graph.node_count)) - s_set)[:2]:
-        yield "add a node to S", replace(
-            step, circuit=df.PartitionCircuit(s_set | {v})
+        yield "add a node to S", step.replace(
+            circuit=df.PartitionCircuit(s_set | {v})
         ), "moves the wrong node set"
 
 
@@ -1045,7 +1044,7 @@ def test_validate_rejects_every_corrupted_record():
             for k, step in enumerate(walk.steps):
                 for kind, bad, violation in _corruptions(graph, step):
                     steps = walk.steps[:k] + (bad,) + walk.steps[k + 1:]
-                    report = df.validate_walk(graph, costs, replace(walk, steps=steps))
+                    report = df.validate_walk(graph, costs, walk.replace(steps=steps))
                     assert report == df.WalkValidation(False, f"step {k} {violation}"), kind
                     seen[kind] = seen.get(kind, 0) + 1
     assert min(seen.values()) >= 20 and len(seen) == 4, seen
@@ -1075,17 +1074,17 @@ def _validation_corpus(rng, trials):
         for walk in walks:
             yield graph, costs, walk
             flipped = "edge" if walk.mode == "circuit" else "circuit"
-            yield graph, costs, replace(walk, mode=flipped)
+            yield graph, costs, walk.replace(mode=flipped)
             for k, step in enumerate(walk.steps):
                 v, i = rng.randrange(1, n), rng.randrange(graph.edge_count)
                 for bad in (
-                    replace(step, sign=-step.sign),
-                    replace(step, epsilon=2 * step.epsilon),
-                    replace(step, entering_edges=step.entering_edges ^ {i}),
-                    replace(step, circuit=df.PartitionCircuit(step.circuit.s_set | {v})),
+                    step.replace(sign=-step.sign),
+                    step.replace(epsilon=2 * step.epsilon),
+                    step.replace(entering_edges=step.entering_edges ^ {i}),
+                    step.replace(circuit=df.PartitionCircuit(step.circuit.s_set | {v})),
                 ):
                     steps = walk.steps[:k] + (bad,) + walk.steps[k + 1:]
-                    yield graph, costs, replace(walk, steps=steps)
+                    yield graph, costs, walk.replace(steps=steps)
             points = walk.points
             for k, point in enumerate(points):
                 v = rng.randrange(1, n)
@@ -1093,13 +1092,13 @@ def _validation_corpus(rng, trials):
                 nudged[v] += rng.choice((unit, -unit, unit / 2))
                 for edit in (nudged, points[k - 1].coords if k else point.coords[:-1]):
                     edited = points[:k] + (df.Point(tuple(edit)),) + points[k + 1:]
-                    yield graph, costs, replace(walk, points=edited)
+                    yield graph, costs, walk.replace(points=edited)
                 if 0 < k < len(points) - 1:
                     swapped = points[:k] + (points[k + 1], point) + points[k + 2:]
-                    yield graph, costs, replace(walk, points=swapped)
+                    yield graph, costs, walk.replace(points=swapped)
                     dropped = points[:k] + points[k + 1:]
                     steps = walk.steps[:k] + walk.steps[k + 1:]
-                    yield graph, costs, replace(walk, points=dropped, steps=steps)
+                    yield graph, costs, walk.replace(points=dropped, steps=steps)
         s_set = frozenset(rng.sample(range(1, n), rng.randint(1, n - 1)))
         for sign in (1, -1):
             moved = df.Point(tuple(
